@@ -1,20 +1,24 @@
 (* One-point throughput probe for tuning the E8 batch sweep:
-   SUBS=<n> BATCH=<b> DUR_S=<s> dune exec dev/batch_probe.exe *)
-
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> (match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
+   SUBS=<n> BATCH=<b> DUR_S=<s> dune exec dev/batch_probe.exe
+   Also POLL_US=<us>, WAN_BPS=/LAN_BPS=<bps> (0 keeps the default
+   bandwidth) and MODE=shortest|flood. Garbage in any knob exits 2. *)
 
 let () =
-  let substations = getenv_int "SUBS" 640 in
-  let max_batch = getenv_int "BATCH" 1 in
-  let dur_s = getenv_int "DUR_S" 15 in
-  let poll_interval_us = getenv_int "POLL_US" 100_000 in
+  let substations = Env_knob.positive_int "SUBS" ~default:640 in
+  let max_batch = Env_knob.positive_int "BATCH" ~default:1 in
+  let dur_s = Env_knob.positive_int "DUR_S" ~default:15 in
+  let poll_interval_us = Env_knob.positive_int "POLL_US" ~default:100_000 in
   let duration_us = dur_s * 1_000_000 in
+  let wan_bps = Env_knob.non_negative_int "WAN_BPS" ~default:0 in
+  let lan_bps = Env_knob.non_negative_int "LAN_BPS" ~default:0 in
+  let flood =
+    Env_knob.get "MODE" ~default:false ~valid:"shortest | flood" (fun s ->
+        match String.lowercase_ascii s with
+        | "shortest" -> Some false
+        | "flood" -> Some true
+        | _ -> None)
+  in
   let t0 = Unix.gettimeofday () in
-  let wan_bps = getenv_int "WAN_BPS" 0 in
-  let lan_bps = getenv_int "LAN_BPS" 0 in
   let tweak c =
     let c =
       if wan_bps > 0 then { c with Spire.System.wan_bandwidth_bps = wan_bps }
@@ -24,9 +28,8 @@ let () =
       if lan_bps > 0 then { c with Spire.System.lan_bandwidth_bps = lan_bps }
       else c
     in
-    match Sys.getenv_opt "MODE" with
-    | Some "flood" -> { c with Spire.System.dissemination = Overlay.Net.Flood }
-    | _ -> c
+    if flood then { c with Spire.System.dissemination = Overlay.Net.Flood }
+    else c
   in
   let sys, r =
     Spire.Scenarios.throughput ~tweak ~max_batch ~substations ~poll_interval_us

@@ -667,59 +667,6 @@ module Case_system = struct
     done
 end
 
-module Case_par = struct
-  (* Conservative-lookahead parallel execution probe: one E2 instance
-     with its site shards on N domains, dumping per-shard processed
-     counts, heap high-water marks and the window scheduler's stall
-     statistics. Usage:
-       dune exec dev/debug.exe -- par [domains] [seconds]   *)
-
-  let run (args : string array) =
-    let domains =
-      if Array.length args > 1 then int_of_string args.(1) else 4
-    in
-    let seconds = if Array.length args > 2 then int_of_string args.(2) else 10 in
-    let cfg =
-      { (Spire.System.default_config ()) with Spire.System.intra_domains = domains }
-    in
-    let t0 = Unix.gettimeofday () in
-    let sys, r =
-      Spire.Scenarios.fault_free ~config:cfg
-        ~duration_us:(seconds * 1_000_000) ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let engine = Spire.System.engine sys in
-    let k = Sim.Engine.shards engine in
-    Printf.printf
-      "E2 %ds virtual on %d domain(s): confirmed=%d views=%d events=%d \
-       wall=%.2fs\n"
-      seconds domains r.Spire.Scenarios.confirmed r.Spire.Scenarios.max_view
-      (Sim.Engine.processed engine) wall;
-    Printf.printf "per-shard (0 = control heap):\n";
-    for s = 0 to k - 1 do
-      Printf.printf "  shard %d: processed=%8d heap-hi-water=%5d\n" s
-        (Sim.Engine.processed_of engine s)
-        (Sim.Engine.heap_hi_water engine s)
-    done;
-    (match Spire.System.intra_stats sys with
-    | None ->
-      Printf.printf
-        "scheduler: sequential engine (intra_domains <= 1 or telemetry on)\n"
-    | Some st ->
-      Printf.printf "scheduler: %s\n"
-        (Format.asprintf "%a" Sim.Conservative.pp_stats st);
-      Printf.printf "  lookahead=%dus\n" st.Sim.Conservative.lookahead_us;
-      Array.iteri
-        (fun s stalls ->
-          if s > 0 then
-            Printf.printf
-              "  stripe %d: stalled %d/%d windows, incoming lookahead %dus\n" s
-              stalls st.Sim.Conservative.windows
-              st.Sim.Conservative.incoming_lookahead_us.(s))
-        st.Sim.Conservative.stalls);
-    Printf.printf "%!"
-end
-
 module Case_adapt = struct
   (* Adaptive-resilience probe: one E13 arm under a chosen attack, with
      the knob-change journal dumped at the end. Usage:
@@ -766,7 +713,6 @@ let cases =
   [
     ("adapt", Case_adapt.run);
     ("chaos", Case_chaos.run);
-    ("par", Case_par.run);
     ("chaos2", Case_chaos2.run);
     ("e7", Case_e7.run);
     ("iso", Case_iso.run);

@@ -1,14 +1,12 @@
 (* Quick eyeball probe for the device-fleet path (E12): run a small
    fleet, print the roll-up stats and the wire ledger. Knobs:
-   DEVICES (default 1000), CONC (default 4), DUR_S (default 10). *)
-
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+   DEVICES (default 1000), CONC (default 4), DUR_S (default 10), each
+   a positive integer; garbage exits 2. *)
 
 let () =
-  let devices = env_int "DEVICES" 1000 in
-  let concentrators = env_int "CONC" 4 in
-  let duration_us = env_int "DUR_S" 10 * 1_000_000 in
+  let devices = Env_knob.positive_int "DEVICES" ~default:1000 in
+  let concentrators = Env_knob.positive_int "CONC" ~default:4 in
+  let duration_us = Env_knob.positive_int "DUR_S" ~default:10 * 1_000_000 in
   let sys, res = Spire.Scenarios.fleet ~concentrators ~devices ~duration_us () in
   Printf.printf "confirmed=%d submitted=%d max_view=%d\n"
     res.Spire.Scenarios.confirmed res.Spire.Scenarios.submitted

@@ -68,46 +68,25 @@ let iter f o =
     f node (get o node)
   done
 
-(* Every cell is written only by the source shard's stripe (the overlay
-   records a crossing while executing on the transmitting node's owner),
-   so under the conservative window scheduler no two domains ever touch
-   the same cell; the totals are derived on read instead of being shared
-   mutable hot spots. *)
+(* A flat [src_shard * shards + dst_shard] matrix per counter; the
+   totals are derived on read. *)
 type boundary = {
   b_shards : int;
   frames : int array; (* src_shard * b_shards + dst_shard *)
   bytes : int array;
-  delays : int array; (* min observed per-hop delivery delay, us; max_int = none *)
 }
 
-type crossing = {
-  src_shard : int;
-  dst_shard : int;
-  frames : int;
-  bytes : int;
-  min_delay_us : int;
-}
+type crossing = { src_shard : int; dst_shard : int; frames : int; bytes : int }
 
 let boundary p =
   let k = p.shard_count in
-  {
-    b_shards = k;
-    frames = Array.make (k * k) 0;
-    bytes = Array.make (k * k) 0;
-    delays = Array.make (k * k) max_int;
-  }
+  { b_shards = k; frames = Array.make (k * k) 0; bytes = Array.make (k * k) 0 }
 
 let record b ~src_shard ~dst_shard ~bytes =
   if src_shard <> dst_shard then begin
     let i = (src_shard * b.b_shards) + dst_shard in
     b.frames.(i) <- b.frames.(i) + 1;
     b.bytes.(i) <- b.bytes.(i) + bytes
-  end
-
-let record_delay b ~src_shard ~dst_shard ~delay_us =
-  if src_shard <> dst_shard then begin
-    let i = (src_shard * b.b_shards) + dst_shard in
-    if delay_us < b.delays.(i) then b.delays.(i) <- delay_us
   end
 
 let crossings b =
@@ -120,7 +99,6 @@ let crossings b =
           dst_shard = i mod b.b_shards;
           frames = b.frames.(i);
           bytes = b.bytes.(i);
-          min_delay_us = b.delays.(i);
         }
         :: !out
   done;
