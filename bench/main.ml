@@ -197,23 +197,6 @@ let e1 () =
   shape
     "flagship f=1,k=1 over 4 sites needs exactly 6 replicas (2cc+2cc+1dc+1dc)"
 
-(* Per-shard execution summary (E2/E3): how the event load and heap
-   pressure spread over the control heap and the per-site heaps. *)
-let shard_summary sys =
-  let engine = Spire.System.engine sys in
-  let k = Sim.Engine.shards engine in
-  let fmt get =
-    String.concat " "
-      (List.init k (fun s ->
-           Printf.sprintf "%s=%d"
-             (if s = 0 then "ctrl" else Printf.sprintf "s%d" s)
-             (get s)))
-  in
-  Printf.printf "  shard events: %s\n" (fmt (Sim.Engine.processed_of engine));
-  Printf.printf "  shard heap hi-water: %s\n"
-    (fmt (Sim.Engine.heap_hi_water engine));
-  Printf.printf "%!"
-
 (* ------------------------------------------------------------------ *)
 (* E2: fault-free wide-area latency distribution                       *)
 
@@ -249,7 +232,6 @@ let e2 () =
   Telemetry.Attribution.print
     ~title:"latency attribution, fault-free (µs, virtual)" sink;
   Telemetry.Attribution.print_net sink;
-  shard_summary sys;
   shape "nearly all updates within 100 ms over the wide area; no view changes"
 
 (* ------------------------------------------------------------------ *)
@@ -258,7 +240,7 @@ let e2 () =
 let e3 () =
   section "E3" "Continuous operation (paper: 30 h); latency over time";
   let duration = if scale_full then hours 30 else minutes 30 in
-  let sys, r = Spire.Scenarios.fault_free ~duration_us:duration () in
+  let _, r = Spire.Scenarios.fault_free ~duration_us:duration () in
   let bucket = duration / 10 in
   let table =
     Stats.Table.create ~title:"per-interval latency (time buckets)"
@@ -279,7 +261,6 @@ let e3 () =
   Printf.printf "  overall: n=%d mean=%.1fms p99.9=%.1fms within-200ms=%.5f\n"
     (Stats.Histogram.count h) (Stats.Histogram.mean h) (pct h 99.9)
     (Stats.Histogram.fraction_below h 200.);
-  shard_summary sys;
   shape "flat latency profile over the whole run: no drift, no outage"
 
 (* ------------------------------------------------------------------ *)

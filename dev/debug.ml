@@ -709,12 +709,126 @@ module Case_adapt = struct
     Printf.printf "%!"
 end
 
+module Case_batch = struct
+  (* One-point throughput probe for tuning the E8 batch sweep:
+       SUBS=<n> BATCH=<b> DUR_S=<s> dune exec dev/debug.exe -- batch
+     Also POLL_US=<us>, WAN_BPS=/LAN_BPS=<bps> (0 keeps the default
+     bandwidth) and MODE=shortest|flood. Garbage in any knob exits 2. *)
+
+  let run (args : string array) =
+    ignore (args : string array);
+    let substations = Env_knob.positive_int "SUBS" ~default:640 in
+    let max_batch = Env_knob.positive_int "BATCH" ~default:1 in
+    let dur_s = Env_knob.positive_int "DUR_S" ~default:15 in
+    let poll_interval_us = Env_knob.positive_int "POLL_US" ~default:100_000 in
+    let duration_us = dur_s * 1_000_000 in
+    let wan_bps = Env_knob.non_negative_int "WAN_BPS" ~default:0 in
+    let lan_bps = Env_knob.non_negative_int "LAN_BPS" ~default:0 in
+    let flood =
+      Env_knob.get "MODE" ~default:false ~valid:"shortest | flood" (fun s ->
+          match String.lowercase_ascii s with
+          | "shortest" -> Some false
+          | "flood" -> Some true
+          | _ -> None)
+    in
+    let t0 = Unix.gettimeofday () in
+    let tweak c =
+      let c =
+        if wan_bps > 0 then { c with Spire.System.wan_bandwidth_bps = wan_bps }
+        else c
+      in
+      let c =
+        if lan_bps > 0 then { c with Spire.System.lan_bandwidth_bps = lan_bps }
+        else c
+      in
+      if flood then { c with Spire.System.dissemination = Overlay.Net.Flood }
+      else c
+    in
+    let sys, r =
+      Spire.Scenarios.throughput ~tweak ~max_batch ~substations ~poll_interval_us
+        ~duration_us ()
+    in
+    let secs = float_of_int duration_us /. 1e6 in
+    let h = r.Spire.Scenarios.hist in
+    let pct p =
+      if Stats.Histogram.count h > 0 then Stats.Histogram.percentile h p else nan
+    in
+    let wire =
+      (Overlay.Net.stats (Spire.System.net sys)).Overlay.Net.submitted_bytes
+    in
+    Printf.printf
+      "subs=%d batch=%d confirmed/s=%.0f ratio=%.3f p50=%.1f p99=%.1f wire \
+       MB=%.1f KB/upd=%.2f wall=%.1fs\n"
+      substations max_batch
+      (float_of_int r.Spire.Scenarios.confirmed /. secs)
+      (float_of_int r.Spire.Scenarios.confirmed
+      /. float_of_int (max 1 r.Spire.Scenarios.submitted))
+      (pct 50.) (pct 99.)
+      (float_of_int wire /. 1e6)
+      (float_of_int wire /. 1e3 /. float_of_int (max 1 r.Spire.Scenarios.confirmed))
+      (Unix.gettimeofday () -. t0);
+    let net = Spire.System.net sys in
+    let s = Overlay.Net.stats net in
+    Printf.printf
+      "  drops: queue_full=%d link_down=%d no_route=%d arq=%d retrans=%d\n"
+      s.Overlay.Net.dropped_queue_full s.Overlay.Net.dropped_link_down
+      s.Overlay.Net.dropped_no_route s.Overlay.Net.dropped_arq_exhausted
+      (Overlay.Net.retransmissions net);
+    let reports = Overlay.Net.link_reports net in
+    let top =
+      List.sort
+        (fun (a : Overlay.Net.link_report) b ->
+          compare b.Overlay.Net.tx_busy_us a.Overlay.Net.tx_busy_us)
+        reports
+    in
+    List.iteri
+      (fun i (lr : Overlay.Net.link_report) ->
+        if i < 5 then
+          Printf.printf "  link %d->%d util=%.2f MB=%.1f\n" lr.Overlay.Net.link_src
+            lr.Overlay.Net.link_dst
+            (Overlay.Net.link_utilisation net ~elapsed_us:duration_us lr)
+            (float_of_int lr.Overlay.Net.tx_bytes /. 1e6))
+      top
+end
+
+module Case_fleet = struct
+  (* Quick eyeball probe for the device-fleet path (E12): run a small
+     fleet, print the roll-up stats and the wire ledger. Knobs:
+     DEVICES (default 1000), CONC (default 4), DUR_S (default 10), each
+     a positive integer; garbage exits 2. Usage:
+       DEVICES=<n> dune exec dev/debug.exe -- fleet *)
+
+  let run (args : string array) =
+    ignore (args : string array);
+    let devices = Env_knob.positive_int "DEVICES" ~default:1000 in
+    let concentrators = Env_knob.positive_int "CONC" ~default:4 in
+    let duration_us = Env_knob.positive_int "DUR_S" ~default:10 * 1_000_000 in
+    let sys, res = Spire.Scenarios.fleet ~concentrators ~devices ~duration_us () in
+    Printf.printf "confirmed=%d submitted=%d max_view=%d\n"
+      res.Spire.Scenarios.confirmed res.Spire.Scenarios.submitted
+      res.Spire.Scenarios.max_view;
+    let s = Spire.System.fleet_stats sys in
+    Printf.printf
+      "devices=%d rounds=%d events_seen=%d reports=%d dups=%d churn=%d \
+       adverts=%d frames=%d polls=%d poll_bytes=%d writes=%d conf_events=%d \
+       conf_writes=%d\n"
+      s.Field.Concentrator.device_count s.rounds s.events_seen
+      s.reports_accepted s.dups_dropped s.churn s.adverts_sent s.report_frames
+      s.polls_sent s.poll_bytes s.writes_issued s.confirmed_events
+      s.confirmed_writes;
+    List.iter
+      (fun (k, f, b) -> Printf.printf "  %-28s %8d %12d\n" k f b)
+      (Spire.System.wire_traffic sys)
+end
+
 let cases =
   [
     ("adapt", Case_adapt.run);
+    ("batch", Case_batch.run);
     ("chaos", Case_chaos.run);
     ("chaos2", Case_chaos2.run);
     ("e7", Case_e7.run);
+    ("fleet", Case_fleet.run);
     ("iso", Case_iso.run);
     ("loss", Case_loss.run);
     ("loss2", Case_loss2.run);

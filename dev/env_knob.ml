@@ -1,6 +1,7 @@
-(* Env-knob contract for the dev probes, the same one bench/main.exe
-   follows: an unset knob takes its default, a set one must parse, and
-   garbage exits 2 printing the valid forms. *)
+(* Env-knob contract for the env-driven dev/debug.exe cases ([batch],
+   [fleet]), the same one bench/main.exe follows: an unset knob takes
+   its default, a set one must parse, and garbage exits 2 printing the
+   valid forms. *)
 
 let get name ~default ~valid parse =
   match Sys.getenv_opt name with

@@ -18,10 +18,8 @@ type config = {
   dissemination : Overlay.Net.mode;
   lan_latency_us : int;
   wan_latency_us : int -> int -> int;
-  client_link_latency_us : int;
   lan_bandwidth_bps : int;
   wan_bandwidth_bps : int;
-  resubmit_timeout_us : int;
   max_batch : int;
   batch_delay_us : int;
   field_concentrators : int;
@@ -30,33 +28,25 @@ type config = {
          the trajectory is bit-identical to a build without lib/field. *)
   field_devices : int; (* total across all concentrators *)
   field_scan_interval_us : int;
-  field_write_interval_us : int; (* 0 disables the write workload *)
-  field_loss : float; (* per-round keep-alive loss probability *)
   diversity_variants : int;
   seed : int64;
   wire_debug : bool;
   telemetry : bool;
-  telemetry_capacity : int;
   adaptive : bool;
       (* false (the default) disables the two-level resilience
          controller entirely: no Local/Global instances, no tick timer
          — the trajectory is bit-identical to a build without
          lib/control. The tuning plane (knobs + actuator) always
          exists; with no controller issuing requests it never acts. *)
-  adapt_tick_us : int; (* controller sampling cadence *)
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
-  tweak_pbft : Pbft.Replica.config -> Pbft.Replica.config;
 }
 
-let east_coast_wan a b =
-  match (min a b, max a b) with
-  | 0, 1 -> 2_000
-  | 0, 2 -> 4_000
-  | 0, 3 -> 8_000
-  | 1, 2 -> 5_000
-  | 1, 3 -> 9_000
-  | 2, 3 -> 5_000
-  | _ -> 10_000
+(* Deployment constants. *)
+let client_link_latency_us = 2_000 (* substation/HMI to control center *)
+let resubmit_timeout_us = 2_000_000
+let field_write_interval_us = 1_000_000 (* per-concentrator write cadence *)
+let field_loss = 0.005 (* per-round keep-alive loss probability *)
+let adapt_tick_us = 250_000 (* controller sampling cadence *)
 
 let default_config () =
   {
@@ -70,27 +60,20 @@ let default_config () =
     poll_interval_us = 100_000;
     dissemination = Overlay.Net.Shortest;
     lan_latency_us = 100;
-    wan_latency_us = east_coast_wan;
-    client_link_latency_us = 2_000;
+    wan_latency_us = Overlay.Topology.east_coast_wan_latency_us;
     lan_bandwidth_bps = 125_000_000;
     wan_bandwidth_bps = 12_500_000;
-    resubmit_timeout_us = 2_000_000;
     max_batch = 1;
     batch_delay_us = 10_000;
     field_concentrators = 0;
     field_devices = 0;
     field_scan_interval_us = 200_000;
-    field_write_interval_us = 1_000_000;
-    field_loss = 0.005;
     diversity_variants = 8;
     seed = 0x5917EL;
     wire_debug = false;
     telemetry = false;
-    telemetry_capacity = 65536;
     adaptive = false;
-    adapt_tick_us = 250_000;
     tweak_prime = Fun.id;
-    tweak_pbft = Fun.id;
   }
 
 type replica_instance =
@@ -116,7 +99,6 @@ type join_session = {
 
 type t = {
   cfg : config;
-  world : Sim.World.t; (* ownership root: engine + partition + trace *)
   engine : Sim.Engine.t;
   topo : Overlay.Topology.t;
   net : payload Overlay.Net.t;
@@ -179,12 +161,10 @@ type t = {
 }
 
 let config t = t.cfg
-let world t = t.world
 let engine t = t.engine
 let net t = t.net
 let knobs t = t.knobs
 let dissemination t = t.dissemination
-let shard_partition t = Overlay.Net.partition t.net
 let telemetry t = t.telemetry
 let replica_count t = t.n
 let universe_count t = t.universe
@@ -255,16 +235,6 @@ let exec_log t r =
   | Prime_replica p -> Prime.Replica.exec_log p
   | Pbft_replica p -> Pbft.Replica.exec_log p
 
-let last_applied_of t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.last_applied p
-  | Pbft_replica p -> Bft.Exec_log.length (Pbft.Replica.exec_log p)
-
-let applied_matrix_digest_of t r seq =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.applied_matrix_digest p seq
-  | Pbft_replica _ -> None
-
 let instance_halted t r =
   match t.replicas.(r) with
   | Prime_replica p -> Prime.Replica.halted p
@@ -280,7 +250,6 @@ let halt_instance t r =
 let directory t = t.directory
 let current_epoch t = t.cur_epoch
 let epoch_of_replica t r = t.epoch_of.(r)
-let replica_halted t r = instance_halted t r
 let current_members t = Array.to_list t.cur_members
 let stale_epoch_frames t = t.stale_epoch_frames
 let bump_stale_epoch t = t.stale_epoch_frames <- t.stale_epoch_frames + 1
@@ -344,63 +313,26 @@ let current_leader t =
 let build_topology cfg =
   let all_sizes = cfg.site_sizes @ cfg.standby_site_sizes in
   let universe = List.fold_left ( + ) 0 all_sizes in
-  let sites = List.length all_sizes in
-  let total =
-    universe + cfg.substations + cfg.hmis + cfg.field_concentrators
+  let topo =
+    Overlay.Topology.multi_site ~site_sizes:all_sizes
+      ~extra_nodes:(cfg.substations + cfg.hmis + cfg.field_concentrators)
+      ~lan_latency_us:cfg.lan_latency_us ~wan_latency_us:cfg.wan_latency_us
+      ~lan_bandwidth_bps:cfg.lan_bandwidth_bps
+      ~wan_bandwidth_bps:cfg.wan_bandwidth_bps
   in
-  let topo = Overlay.Topology.create ~nodes:total in
-  (* Replica sites and LAN meshes. *)
   let site_members =
-    let offset = ref 0 in
-    List.mapi
-      (fun site size ->
-        let members = List.init size (fun i -> !offset + i) in
-        offset := !offset + size;
-        List.iter (fun node -> Overlay.Topology.assign_site topo node site) members;
-        members)
-      all_sizes
+    List.mapi (fun site _ -> Overlay.Topology.nodes_in_site topo site) all_sizes
   in
-  List.iter
-    (fun members ->
-      let arr = Array.of_list members in
-      for i = 0 to Array.length arr - 1 do
-        for j = i + 1 to Array.length arr - 1 do
-          Overlay.Topology.add_link topo ~a:arr.(i) ~b:arr.(j)
-            ~latency_us:cfg.lan_latency_us ~bandwidth_bps:cfg.lan_bandwidth_bps
-        done
-      done)
-    site_members;
-  (* Inter-site WAN links: first-first always, second-second when both
-     sites have two or more members (redundancy). *)
-  let site_arr = Array.of_list site_members in
-  for sa = 0 to sites - 1 do
-    for sb = sa + 1 to sites - 1 do
-      let lat = cfg.wan_latency_us sa sb in
-      (match (site_arr.(sa), site_arr.(sb)) with
-      | a0 :: _, b0 :: _ ->
-        Overlay.Topology.add_link topo ~a:a0 ~b:b0 ~latency_us:lat
-          ~bandwidth_bps:cfg.wan_bandwidth_bps
-      | _, _ -> ());
-      match (site_arr.(sa), site_arr.(sb)) with
-      | _ :: a1 :: _, _ :: b1 :: _ ->
-        Overlay.Topology.add_link topo ~a:a1 ~b:b1 ~latency_us:lat
-          ~bandwidth_bps:cfg.wan_bandwidth_bps
-      | _, _ -> ()
-    done
-  done;
-  (* Clients: one node each, own site id, linked to the first node of
-     every control-center site. *)
+  (* Clients: linked to the first node of every control-center site. *)
   let cc_gateways =
     List.filteri (fun i _ -> i < cfg.control_centers) site_members
     |> List.filter_map (function gw :: _ -> Some gw | [] -> None)
   in
   for c = 0 to cfg.substations + cfg.hmis + cfg.field_concentrators - 1 do
-    let node = universe + c in
-    Overlay.Topology.assign_site topo node (sites + c);
     List.iter
       (fun gw ->
-        Overlay.Topology.add_link topo ~a:node ~b:gw
-          ~latency_us:cfg.client_link_latency_us
+        Overlay.Topology.add_link topo ~a:(universe + c) ~b:gw
+          ~latency_us:client_link_latency_us
           ~bandwidth_bps:cfg.wan_bandwidth_bps)
       cc_gateways
   done;
@@ -604,10 +536,9 @@ let enqueue_reply t r ~dst_node reply =
   if Bft.Batch.full acc then flush_replies t r
   else if Bft.Batch.length acc = 1 then
     ignore
-      (Sim.Engine.schedule
-         ~shard:(1 + t.replica_sites.(r))
-         t.engine ~delay_us:t.reply_batch.Bft.Batch.max_delay_us
-         (fun () -> flush_replies_due t r)
+      (Sim.Engine.schedule t.engine
+         ~delay_us:t.reply_batch.Bft.Batch.max_delay_us (fun () ->
+           flush_replies_due t r)
         : Sim.Engine.timer)
 
 (* Reply emission: called from the execute callback of replica [r].
@@ -635,10 +566,7 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
     (* Charge the threshold-share signing cost before the send (the
        share is per-update even when the envelope is batched). *)
     ignore
-      (Sim.Engine.schedule
-         ~shard:(1 + t.replica_sites.(r))
-         t.engine ~delay_us:t.share_cost_us
-         (fun () ->
+      (Sim.Engine.schedule t.engine ~delay_us:t.share_cost_us (fun () ->
            if not (faults t r).Bft.Faults.crashed then begin
              if Telemetry.Sink.enabled t.telemetry then
                Telemetry.Sink.update_reply_sent t.telemetry
@@ -803,11 +731,48 @@ let controller_tick t =
     in
     Control.Global.step g ~now_us:(Sim.Engine.now t.engine) verdicts
 
+(* Serialised master state shipped by a state transfer (exec count +
+   every known RTU status) — the byte carrier whose chunks cross the
+   overlay. *)
+let master_blob master =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
+  List.iter
+    (fun rtu ->
+      match Scada.Master.last_status master ~rtu with
+      | None -> ()
+      | Some status ->
+        Buffer.add_string b (Scada.Op.encode (Scada.Op.Status_report status)))
+    (Scada.Master.known_rtus master);
+  Buffer.contents b
+
+(* A state-transfer source over [peers]: each peer's (protocol
+   snapshot, master state) pair. The two halves are captured atomically
+   (same simulation instant), so a consistent pair digest identifies a
+   consistent joint state. *)
+let transfer_source t peers =
+  {
+    Recovery.State_transfer.peers;
+    fetch =
+      (fun peer ->
+        match t.replicas.(peer) with
+        | Prime_replica q ->
+          Some (Prime.Replica.snapshot q, Scada.Master.clone t.masters.(peer))
+        | Pbft_replica _ -> None);
+    digest_of =
+      (fun (snap, master) ->
+        Cryptosim.Digest.combine
+          (Prime.Replica.snapshot_digest snap)
+          (Scada.Master.snapshot_digest master));
+    newer =
+      (fun (a, _) (b, _) ->
+        a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
+  }
+
 (* State transfer: adopt a (protocol snapshot, master state) pair
-   vouched for by f+1 peers of the replica's OWN epoch. The two halves
-   are captured atomically (same simulation instant), so a consistent
-   pair digest identifies a consistent joint state. Used when a replica
-   returns from proactive recovery AND when a disconnected site
+   vouched for by f+1 peers of the replica's OWN epoch. Used when a
+   replica returns from proactive recovery AND when a disconnected site
    reconnects. *)
 let resync_replica t r =
   if t.epoch_of.(r) < 0 then ()
@@ -826,34 +791,12 @@ let resync_replica t r =
         | Some (members, _) -> Array.to_list members
         | None -> []
       in
-      let prime_of p =
-        match t.replicas.(p) with
-        | Prime_replica q -> q
-        | Pbft_replica _ -> assert false
-      in
       let source =
-        {
-          Recovery.State_transfer.peers =
-            List.filter
-              (fun p ->
-                p <> r
-                && t.epoch_of.(p) = e
-                && not (faults t p).Bft.Faults.crashed)
-              peers_of_epoch;
-          fetch =
-            (fun peer ->
-              Some
-                ( Prime.Replica.snapshot (prime_of peer),
-                  Scada.Master.clone t.masters.(peer) ));
-          digest_of =
-            (fun (snap, master) ->
-              Cryptosim.Digest.combine
-                (Prime.Replica.snapshot_digest snap)
-                (Scada.Master.snapshot_digest master));
-          newer =
-            (fun (a, _) (b, _) ->
-              a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
-        }
+        transfer_source t
+          (List.filter
+             (fun p ->
+               p <> r && t.epoch_of.(p) = e && not (faults t p).Bft.Faults.crashed)
+             peers_of_epoch)
       in
       (match Recovery.State_transfer.select ~f:cert_f source with
       | Recovery.State_transfer.Installed (snap, master) ->
@@ -875,47 +818,18 @@ let resync_replica t r =
           match source.Recovery.State_transfer.peers with
           | [] -> ()
           | donor :: _ ->
-            let blob =
-              let b = Buffer.create 256 in
-              Buffer.add_string b
-                (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
-              List.iter
-                (fun rtu ->
-                  match Scada.Master.last_status master ~rtu with
-                  | None -> ()
-                  | Some status ->
-                    Buffer.add_string b
-                      (Scada.Op.encode (Scada.Op.Status_report status)))
-                (Scada.Master.known_rtus master);
-              Buffer.contents b
-            in
             List.iter
               (fun chunk ->
                 send_payload t ~src_node:(node_of_replica t donor)
                   ~dst_node:(node_of_replica t r) (Transfer_chunk chunk))
               (Recovery.State_transfer.chunk_blob ~xfer_id:r ~chunk_bytes:1024
-                 blob)
+                 (master_blob master))
         end
       | Recovery.State_transfer.No_quorum _ ->
         (* Rare: peers disagree transiently; rejoin from live traffic and
            catch up through slot requests / checkpoints. *)
         ())
     | Prime_replica _ -> () (* halted: the successor epoch owns catch-up *)
-
-(* Serialised master state shipped during a join (exec count + every
-   known RTU status) — the byte carrier whose chunks the ARQ guards. *)
-let master_blob master =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
-  List.iter
-    (fun rtu ->
-      match Scada.Master.last_status master ~rtu with
-      | None -> ()
-      | Some status ->
-        Buffer.add_string b (Scada.Op.encode (Scada.Op.Status_report status)))
-    (Scada.Master.known_rtus master);
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Epoch cutover machinery.
@@ -1041,11 +955,6 @@ and begin_join t g =
       Overlay.Net.unretire_node t.net (node_of_replica t g);
       Overlay.Net.restore_node t.net (node_of_replica t g);
       (faults t g).Bft.Faults.crashed <- false;
-      let prime_of p =
-        match t.replicas.(p) with
-        | Prime_replica q -> Some q
-        | Pbft_replica _ -> None
-      in
       let peers =
         Array.to_list members
         |> List.filter (fun p ->
@@ -1055,28 +964,10 @@ and begin_join t g =
                && (not (instance_halted t p))
                && Overlay.Net.node_alive t.net (node_of_replica t p))
       in
-      let source =
-        {
-          Recovery.State_transfer.peers;
-          fetch =
-            (fun peer ->
-              match prime_of peer with
-              | None -> None
-              | Some q ->
-                Some
-                  ( Prime.Replica.snapshot q,
-                    Scada.Master.clone t.masters.(peer) ));
-          digest_of =
-            (fun (snap, master) ->
-              Cryptosim.Digest.combine
-                (Prime.Replica.snapshot_digest snap)
-                (Scada.Master.snapshot_digest master));
-          newer =
-            (fun (a, _) (b, _) ->
-              a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
-        }
-      in
-      (match Recovery.State_transfer.select ~f:(Member.Cert.f cert) source with
+      (match
+         Recovery.State_transfer.select ~f:(Member.Cert.f cert)
+           (transfer_source t peers)
+       with
       | Recovery.State_transfer.No_quorum _ ->
         () (* not enough live vouchers yet; the reconciler retries *)
       | Recovery.State_transfer.Installed (snap, master) -> (
@@ -1122,13 +1013,8 @@ and arm_chunk_timer t xfer i attempt =
        starts a fresh one (new xfer id, fresh backoff schedule). *)
     Hashtbl.remove t.sessions xfer
   | Some delay ->
-    let shard =
-      match Hashtbl.find_opt t.sessions xfer with
-      | Some s -> 1 + t.replica_sites.(s.js_replica)
-      | None -> 0
-    in
     ignore
-      (Sim.Engine.schedule ~shard t.engine ~delay_us:delay (fun () ->
+      (Sim.Engine.schedule t.engine ~delay_us:delay (fun () ->
            match Hashtbl.find_opt t.sessions xfer with
            | None -> ()
            | Some s ->
@@ -1169,8 +1055,7 @@ and install_member_instance t r ~cert ~snap =
       Prime.Replica.install_snapshot p snap;
       Prime.Replica.set_on_fall_behind p (fun () ->
           ignore
-            (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) t.engine
-               ~delay_us:0 (fun () ->
+            (Sim.Engine.schedule t.engine ~delay_us:0 (fun () ->
                  if
                    (not (faults t r).Bft.Faults.crashed)
                    && t.epoch_of.(r) >= 0
@@ -1277,8 +1162,8 @@ let note_reconfig t r ~payload =
               t.pending_reconfig.(r) <- Some (e, actions);
               halt_instance t r;
               ignore
-                (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) t.engine
-                   ~delay_us:0 (fun () -> switch_replica t r)
+                (Sim.Engine.schedule t.engine ~delay_us:0 (fun () ->
+                     switch_replica t r)
                   : Sim.Engine.timer))))
 
 let execute_of t r exec_index update =
@@ -1335,6 +1220,20 @@ let handle_replica_msg t r ~from payload =
      concentrator, which folds them into ordered Field_report ops. *)
   | Replica_reply _ | Reply_batch _ | Field_advert _ | Field_report _ -> ()
 
+(* Client nodes consume replica replies; any other frame kind addressed
+   to a client is ignored. *)
+let set_client_handler t client handle_reply =
+  Overlay.Net.set_handler t.net (node_of_client t client) (fun delivery ->
+      debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
+        delivery.Overlay.Net.payload;
+      match delivery.Overlay.Net.payload with
+      | Replica_reply reply -> handle_reply reply
+      | Reply_batch rs -> List.iter handle_reply rs
+      | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
+      | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
+      | Field_report _ ->
+        ())
+
 (* Replica environment for one (epoch, rank) instance. A protocol
    broadcast hands the same physical message to every recipient;
    memoising the wrapped payload by the inner message's physical
@@ -1360,10 +1259,7 @@ let env_for t ~epoch ~rank ~(members : int array) wrap =
         send_payload t ~src_node:members.(rank) ~dst_node:members.(dst)
           (wrap_shared msg));
     now_us = (fun () -> Sim.Engine.now t.engine);
-    set_timer =
-      (* A replica's protocol timers belong to its site's heap. *)
-      (let shard = 1 + t.replica_sites.(members.(rank)) in
-       fun delay_us f -> Sim.Engine.schedule ~shard t.engine ~delay_us f);
+    set_timer = (fun delay_us f -> Sim.Engine.schedule t.engine ~delay_us f);
     trace = (fun _ -> ());
     telemetry = t.telemetry;
   }
@@ -1380,29 +1276,11 @@ let create cfg =
     else Bft.Batch.create ~max_delay_us:cfg.batch_delay_us ~max_batch:cfg.max_batch ()
   in
   let topo, site_members = build_topology cfg in
-  (* Ownership partition: each replica site (active and standby) is a
-     shard; all field devices (substation proxies, HMIs) pool into one
-     trailing "field" shard. The engine gets one heap per shard plus
-     the control heap ({!Sim.Shard.engine_shards}); the partition never
-     affects event order — see the Shard/Engine docs. *)
-  let base_sites = List.length cfg.site_sizes + List.length cfg.standby_site_sizes in
-  let part =
-    Sim.Shard.make ~shards:(base_sites + 1)
-      ~owner:(fun node ->
-        min (Overlay.Topology.site_of topo node) base_sites)
-      ~nodes:(Overlay.Topology.node_count topo)
-  in
-  let world =
-    Sim.World.create ~seed:cfg.seed ~shards:(Sim.Shard.engine_shards part) ()
-  in
-  Sim.World.set_partition world part;
-  let engine = Sim.World.engine world in
-  let net = Overlay.Net.create ~per_source_cap:256 ~partition:part engine topo () in
+  let engine = Sim.Engine.create ~seed:cfg.seed () in
+  let net = Overlay.Net.create ~per_source_cap:256 engine topo () in
   let sink =
     if cfg.telemetry then begin
-      let s =
-        Telemetry.Sink.create ~capacity:cfg.telemetry_capacity ~enabled:true ()
-      in
+      let s = Telemetry.Sink.create ~enabled:true () in
       (* The orderable milestone needs an ordering quorum of pre-order
          body stores; the execution milestone needs the reply (f+1)
          quorum of distinct executions. *)
@@ -1439,7 +1317,6 @@ let create cfg =
   let t =
     {
       cfg;
-      world;
       engine;
       topo;
       net;
@@ -1523,12 +1400,11 @@ let create cfg =
   in
   let pbft_instance ~quorum ~epoch ~rank ~members ~global =
     let pcfg =
-      cfg.tweak_pbft
-        {
-          (Pbft.Replica.default_config quorum) with
-          Pbft.Replica.epoch;
-          batch = batch_policy;
-        }
+      {
+        (Pbft.Replica.default_config quorum) with
+        Pbft.Replica.epoch;
+        batch = batch_policy;
+      }
     in
     Pbft_replica
       (Pbft.Replica.create pcfg
@@ -1605,8 +1481,7 @@ let create cfg =
       | Prime_replica p when r < n ->
         Prime.Replica.set_on_fall_behind p (fun () ->
             ignore
-              (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) engine
-                 ~delay_us:0 (fun () ->
+              (Sim.Engine.schedule engine ~delay_us:0 (fun () ->
                    if not (faults t r).Bft.Faults.crashed then
                      resync_replica t r)
                 : Sim.Engine.timer))
@@ -1671,8 +1546,8 @@ let create cfg =
       (* Blame the current origin only once it has had a full timeout
          to prove itself (the timed-out update may predate it). *)
       let cur = pick_origin client now in
-      if now - default_since.(client) > cfg.resubmit_timeout_us then begin
-        suspected_until.(client).(cur) <- now + (8 * cfg.resubmit_timeout_us);
+      if now - default_since.(client) > resubmit_timeout_us then begin
+        suspected_until.(client).(cur) <- now + (8 * resubmit_timeout_us);
         ignore (pick_origin client now : int)
       end;
       (* One physical payload for the whole retransmission broadcast. *)
@@ -1697,8 +1572,6 @@ let create cfg =
       send_payload t ~src_node:(node_of_client t client)
         ~dst_node:(node_of_replica t origin) (Client_batch updates)
   in
-  (* Field devices' timers live in the trailing field shard's heap. *)
-  let field_shard = base_sites + 1 in
   let proxies =
     Array.init cfg.substations (fun i ->
         let rtu =
@@ -1710,45 +1583,23 @@ let create cfg =
         let field_protocol = if i mod 2 = 0 then `Dnp3 else `Modbus in
         let p =
           Scada.Proxy.create ~field_protocol ~telemetry:sink
-            ~batch:batch_policy ~submit_batch:(submit_batch_of i)
-            ~shard:field_shard ~engine ~rtu ~client_id:i
-            ~poll_interval_us:cfg.poll_interval_us ~group
-            ~resubmit_timeout_us:cfg.resubmit_timeout_us
-            ~submit:(submit_of i) ()
+            ~batch:batch_policy ~submit_batch:(submit_batch_of i) ~engine ~rtu
+            ~client_id:i ~poll_interval_us:cfg.poll_interval_us ~group
+            ~resubmit_timeout_us ~submit:(submit_of i) ()
         in
         Scada.Endpoint.set_on_complete (Scada.Proxy.endpoint p) record_latency;
-        Overlay.Net.set_handler net (node_of_client t i) (fun delivery ->
-            debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-              delivery.Overlay.Net.payload;
-            match delivery.Overlay.Net.payload with
-            | Replica_reply reply -> Scada.Proxy.handle_reply p reply
-            | Reply_batch rs -> List.iter (Scada.Proxy.handle_reply p) rs
-            | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-            | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
-            | Field_report _ ->
-              ());
+        set_client_handler t i (Scada.Proxy.handle_reply p);
         p)
   in
   let hmis =
     Array.init cfg.hmis (fun j ->
         let client = cfg.substations + j in
         let h =
-          Scada.Hmi.create ~telemetry:sink ~shard:field_shard ~engine
-            ~client_id:client ~group
-            ~resubmit_timeout_us:cfg.resubmit_timeout_us
-            ~submit:(submit_of client) ()
+          Scada.Hmi.create ~telemetry:sink ~engine ~client_id:client ~group
+            ~resubmit_timeout_us ~submit:(submit_of client) ()
         in
         Scada.Endpoint.set_on_complete (Scada.Hmi.endpoint h) record_latency;
-        Overlay.Net.set_handler net (node_of_client t client) (fun delivery ->
-            debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-              delivery.Overlay.Net.payload;
-            match delivery.Overlay.Net.payload with
-            | Replica_reply reply -> Scada.Hmi.handle_reply h reply
-            | Reply_batch rs -> List.iter (Scada.Hmi.handle_reply h) rs
-            | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-            | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
-            | Field_report _ ->
-              ());
+        set_client_handler t client (Scada.Hmi.handle_reply h);
         h)
   in
   (* Device fleet: per-substation concentrators, each an ordinary BFT
@@ -1775,34 +1626,22 @@ let create cfg =
               (* Stagger the rounds across the interval so the core
                  sees a stream of aggregates, not a thundering herd. *)
               phase_us = i * cfg.field_scan_interval_us / nc;
-              write_interval_us = cfg.field_write_interval_us;
-              keepalive_loss = cfg.field_loss;
+              write_interval_us = field_write_interval_us;
+              keepalive_loss = field_loss;
             }
           in
           let c =
             Field.Concentrator.create ~telemetry:sink ~batch:batch_policy
-              ~submit_batch:(submit_batch_of client) ~shard:field_shard
-              ~engine ~id:i ~client_id:client ~first_device
+              ~submit_batch:(submit_batch_of client) ~engine ~id:i
+              ~client_id:client ~first_device
               ~seed:(Sim.Rng.derive ~seed:cfg.seed ~index:(0xF1E1D + i))
-              ~group ~resubmit_timeout_us:cfg.resubmit_timeout_us
-              ~submit:(submit_of client)
+              ~group ~resubmit_timeout_us ~submit:(submit_of client)
               ~charge:(fun frame ->
                 charge_field_frame t ~node:(node_of_client t client) frame)
               ~config ()
           in
           Field.Concentrator.set_on_complete c record_latency;
-          Overlay.Net.set_handler net (node_of_client t client)
-            (fun delivery ->
-              debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-                delivery.Overlay.Net.payload;
-              match delivery.Overlay.Net.payload with
-              | Replica_reply reply -> Field.Concentrator.handle_reply c reply
-              | Reply_batch rs ->
-                List.iter (Field.Concentrator.handle_reply c) rs
-              | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-              | Transfer_chunk _ | Epoch_frame _ | Cert_frame _
-              | Field_advert _ | Field_report _ ->
-                ());
+          set_client_handler t client (Field.Concentrator.handle_reply c);
           c)
     end
   in
@@ -1842,7 +1681,7 @@ let start t =
      controller adds zero timers, so the trajectory is untouched. *)
   if t.cfg.adaptive then
     ignore
-      (Sim.Engine.periodic t.engine ~interval_us:t.cfg.adapt_tick_us (fun () ->
+      (Sim.Engine.periodic t.engine ~interval_us:adapt_tick_us (fun () ->
            controller_tick t)
         : Sim.Engine.timer)
 

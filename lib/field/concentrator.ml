@@ -23,7 +23,6 @@ type t = {
   first_device : int;
   config : config;
   engine : Sim.Engine.t;
-  shard : int;
   rng : Sim.Rng.t;  (* write-workload draws only *)
   devices : Device.t array;
   sessions : Session.t array;
@@ -102,14 +101,14 @@ let note_complete (t : t) u ~latency_us:_ =
     end)
   | Ok _ | Error _ -> ()
 
-let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
+let create ?telemetry ?batch ?submit_batch ~engine ~id ~client_id
     ~first_device ~seed ~group ~resubmit_timeout_us ~submit ~charge
     ~config:(config : config) ()
     =
   if config.devices <= 0 then
     invalid_arg "Concentrator.create: need at least one device";
   let endpoint =
-    Scada.Endpoint.create ?telemetry ?batch ?submit_batch ~shard ~engine
+    Scada.Endpoint.create ?telemetry ?batch ?submit_batch ~engine
       ~client_id ~group ~resubmit_timeout_us ~submit ()
   in
   let t =
@@ -118,7 +117,6 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
       first_device;
       config;
       engine;
-      shard;
       rng = Sim.Rng.create (Sim.Rng.derive ~seed ~index:0);
       devices =
         Array.init config.devices (fun i ->
@@ -279,25 +277,25 @@ let start t =
     Scada.Endpoint.start t.endpoint;
     t.scan_timer <-
       Some
-        (Sim.Engine.schedule ~shard:t.shard t.engine
+        (Sim.Engine.schedule t.engine
            ~delay_us:(t.config.phase_us + t.config.scan_interval_us)
            (fun () ->
              scan_round t;
              t.scan_timer <-
                Some
-                 (Sim.Engine.periodic ~shard:t.shard t.engine
+                 (Sim.Engine.periodic t.engine
                     ~interval_us:t.config.scan_interval_us (fun () ->
                       scan_round t))));
     if t.config.write_interval_us > 0 then
       t.write_timer <-
         Some
-          (Sim.Engine.schedule ~shard:t.shard t.engine
+          (Sim.Engine.schedule t.engine
              ~delay_us:(t.config.phase_us + t.config.write_interval_us)
              (fun () ->
                issue_write t;
                t.write_timer <-
                  Some
-                   (Sim.Engine.periodic ~shard:t.shard t.engine
+                   (Sim.Engine.periodic t.engine
                       ~interval_us:t.config.write_interval_us (fun () ->
                         issue_write t))))
   end

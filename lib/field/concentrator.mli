@@ -22,9 +22,7 @@
     is therefore an end-to-end metric through the BFT core.
 
     Determinism: all randomness (device processes, keep-alive loss,
-    write workload) derives from [seed] via [Sim.Rng.derive]; timers
-    are tagged with [shard], so fleets compose with site-sharded
-    parallel runs. *)
+    write workload) derives from [seed] via [Sim.Rng.derive]. *)
 
 type config = {
   devices : int;
@@ -65,7 +63,6 @@ val create :
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->
   ?submit_batch:(Bft.Update.t list -> unit) ->
-  ?shard:int ->
   engine:Sim.Engine.t ->
   id:int ->
   client_id:Bft.Types.client ->

@@ -72,34 +72,20 @@ type 'a t = {
   rng : Sim.Rng.t;
   topo : Topology.t;
   nodes : int;
-  part : Sim.Shard.partition;
-  (* Inter-shard (WAN) ledger: every frame copy enqueued onto a link
-     whose endpoints are owned by different shards is recorded here —
-     the traffic a real deployment pays WAN bandwidth for. *)
-  boundary : Sim.Shard.boundary;
-  (* Per-node state is grouped by owning shard ({!Sim.Shard.owned}):
-     each node's outgoing-link row, route-cache row, handler and dedup
-     caches live in its site's rows, so "which shard may touch this"
-     is explicit. A row is still a flat per-destination array — the
-     per-hop path touches link state several times per frame, and
-     tuple-keyed hashtables there cost a key allocation plus hashing
-     per access. *)
-  links : 'a link_state option array Sim.Shard.owned; (* row.(v) = u -> v *)
+  (* Directed link state in a flat [u * nodes + v] array: the per-hop
+     path touches link state several times per frame, and tuple-keyed
+     hashtables there cost a key allocation plus hashing per access. *)
+  links : 'a link_state option array;
   link_up : bool array; (* undirected, normalised [a * nodes + b] *)
   node_up : bool array;
-  (* link_up/node_up/retired stay flat and unsharded deliberately: they
-     are liveness/membership maps — read by every shard on every hop,
-     written only by the (serial) fault-injection control plane — so
-     they are shared-read state, not per-site owned state. *)
   (* Membership guard: a retired node's id is no longer a valid frame
      source (its site was removed from the configuration).  Frames
      claiming a retired — or out-of-range — src are counted and
      dropped before they can index the per-node state rows. *)
   retired : bool array;
-  handlers : ('a delivery -> unit) option Sim.Shard.owned;
-  seen : Dedup_cache.t Sim.Shard.owned; (* per node: flooded frame ids seen *)
-  delivered_ids : Dedup_cache.t Sim.Shard.owned;
-      (* per node: dedup'd frame ids delivered *)
+  handlers : ('a delivery -> unit) option array;
+  seen : Dedup_cache.t array; (* per node: flooded frame ids seen *)
+  delivered_ids : Dedup_cache.t array; (* per node: dedup'd frame ids delivered *)
   (* Global statistics plus the frame-id allocator. Frame ids are only
      ever compared for equality (dedup caches, queue-span keys), never
      ordered or printed. *)
@@ -107,9 +93,9 @@ type 'a t = {
   per_source_cap : int;
   (* Route caches: shortest paths and disjoint path sets are stable
      between topology state changes (kill/restore); recomputing them
-     per frame dominates CPU otherwise. [row.(dst)] of [src]'s row is
-     [None] when not yet computed. *)
-  route_cache : Topology.node list option option array Sim.Shard.owned;
+     per frame dominates CPU otherwise. [route_cache.(src * nodes + dst)]
+     is [None] when not yet computed. *)
+  route_cache : Topology.node list option option array;
   kpath_cache : (int, Topology.node list list) Hashtbl.t;
       (* key = (src * nodes + dst) * 1024 + min k 1023 *)
   mutable telemetry : Telemetry.Sink.t;
@@ -138,31 +124,21 @@ and counters = {
 
 let norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
 
-let create ?(per_source_cap = 64) ?partition engine topo () =
+let create ?(per_source_cap = 64) engine topo () =
   let n = Topology.node_count topo in
-  let part =
-    match partition with
-    | Some p ->
-      if Sim.Shard.nodes p <> n then
-        invalid_arg "Net.create: partition node count <> topology node count";
-      p
-    | None -> Sim.Shard.singleton ~nodes:n
-  in
   let t =
     {
       engine;
       rng = Sim.Engine.rng engine;
       topo;
       nodes = n;
-      part;
-      boundary = Sim.Shard.boundary part;
-      links = Sim.Shard.init part (fun _ -> Array.make n None);
+      links = Array.make (n * n) None;
       link_up = Array.make (n * n) false;
       node_up = Array.make n true;
       retired = Array.make n false;
-      handlers = Sim.Shard.init part (fun _ -> None);
-      seen = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
-      delivered_ids = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
+      handlers = Array.make n None;
+      seen = Array.init n (fun _ -> Dedup_cache.create ());
+      delivered_ids = Array.init n (fun _ -> Dedup_cache.create ());
       ctrs =
         {
           c_frame_seq = 0;
@@ -180,7 +156,7 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
           c_dropped_bytes = 0;
         };
       per_source_cap;
-      route_cache = Sim.Shard.init part (fun _ -> Array.make n None);
+      route_cache = Array.make (n * n) None;
       kpath_cache = Hashtbl.create 997;
       telemetry = Telemetry.Sink.null;
       queue_spans = Hashtbl.create 64;
@@ -202,17 +178,13 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
           tx_busy_us = 0;
         }
       in
-      (Sim.Shard.get t.links a).(b) <- Some (mk ());
-      (Sim.Shard.get t.links b).(a) <- Some (mk ());
+      t.links.((a * n) + b) <- Some (mk ());
+      t.links.((b * n) + a) <- Some (mk ());
       t.link_up.(norm_idx t a b) <- true)
     (Topology.links topo);
   t
 
 let topology t = t.topo
-let partition t = t.part
-let wan_crossings t = Sim.Shard.crossings t.boundary
-let wan_frames t = Sim.Shard.total_frames t.boundary
-let wan_bytes t = Sim.Shard.total_bytes t.boundary
 let set_telemetry t sink = t.telemetry <- sink
 
 (* Per-hop telemetry. Traced frames ([frame.trace >= 0], sink enabled)
@@ -233,13 +205,13 @@ let open_hop_span t ~phase ~node ~label frame =
 let close_hop_span t sid =
   Telemetry.Sink.close_span t.telemetry ~id:sid ~now:(Sim.Engine.now t.engine)
 
-let set_handler t node f = Sim.Shard.set t.handlers node (Some f)
+let set_handler t node f = t.handlers.(node) <- Some f
 let link_alive t a b = t.link_up.(norm_idx t a b)
 let node_alive t n = t.node_up.(n)
 let usable t a b = link_alive t a b && t.node_up.(a) && t.node_up.(b)
 
 let link_state t a b =
-  match (Sim.Shard.get t.links a).(b) with
+  match t.links.((a * t.nodes) + b) with
   | Some ls -> ls
   | None -> invalid_arg "Net: no such link"
 
@@ -254,21 +226,21 @@ let deliver t node frame =
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
   else if
-    frame.dedup && Dedup_cache.mem (Sim.Shard.get t.delivered_ids node) frame.id
+    frame.dedup && Dedup_cache.mem t.delivered_ids.(node) frame.id
   then begin
     let c = t.ctrs in
     c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
   end
   else begin
     if frame.dedup then
-      Dedup_cache.add (Sim.Shard.get t.delivered_ids node) frame.id;
+      Dedup_cache.add t.delivered_ids.(node) frame.id;
     match frame.content with
     | Junk _ -> ()
     | Payload payload ->
       let c = t.ctrs in
       c.c_delivered <- c.c_delivered + 1;
       c.c_delivered_bytes <- c.c_delivered_bytes + frame.size_bytes;
-      (match Sim.Shard.get t.handlers node with
+      (match t.handlers.(node) with
       | None -> ()
       | Some handler ->
         handler
@@ -310,14 +282,6 @@ let rec maybe_transmit t u v =
 
 and transmit_frame t u v ls frame attempt =
   ls.busy <- true;
-  (* The transmit/ARQ legs of a (u, v) hop mutate [u]-owned link state,
-     so those timers are tagged with [u]'s shard; the propagation leg
-     ends in [arrive], which mutates [v]-owned state (dedup caches,
-     handlers, onward queues), so it is tagged with [v]'s shard. The
-     tags record ownership only; they never affect event order — keys
-     are engine-global. *)
-  let shard = Sim.Shard.engine_shard t.part u in
-  let dst_shard = Sim.Shard.engine_shard t.part v in
   let tx_us = max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
   ls.tx_bytes <- ls.tx_bytes + frame.size_bytes;
   ls.tx_busy_us <- ls.tx_busy_us + tx_us;
@@ -328,7 +292,7 @@ and transmit_frame t u v ls frame attempt =
     else -1
   in
   ignore
-    (Sim.Engine.schedule ~shard t.engine ~delay_us:tx_us (fun () ->
+    (Sim.Engine.schedule t.engine ~delay_us:tx_us (fun () ->
          if tx_sid >= 0 then close_hop_span t tx_sid;
          let prop =
            int_of_float (float_of_int ls.latency_us *. ls.latency_factor)
@@ -348,7 +312,7 @@ and transmit_frame t u v ls frame attempt =
              else -1
            in
            ignore
-             (Sim.Engine.schedule ~shard t.engine ~delay_us:(2 * prop) (fun () ->
+             (Sim.Engine.schedule t.engine ~delay_us:(2 * prop) (fun () ->
                   if arq_sid >= 0 then close_hop_span t arq_sid;
                   transmit_frame t u v ls frame (attempt + 1))
                : Sim.Engine.timer)
@@ -371,8 +335,7 @@ and transmit_frame t u v ls frame attempt =
                else -1
              in
              ignore
-               (Sim.Engine.schedule ~shard:dst_shard t.engine ~delay_us:prop
-                  (fun () ->
+               (Sim.Engine.schedule t.engine ~delay_us:prop (fun () ->
                     if prop_sid >= 0 then close_hop_span t prop_sid;
                     arrive t u v frame)
                  : Sim.Engine.timer)
@@ -392,8 +355,8 @@ and arrive t u v frame =
     frame.hops <- frame.hops + 1;
     match frame.route with
     | Flooding ->
-      if not (Dedup_cache.mem (Sim.Shard.get t.seen v) frame.id) then begin
-        Dedup_cache.add (Sim.Shard.get t.seen v) frame.id;
+      if not (Dedup_cache.mem t.seen.(v) frame.id) then begin
+        Dedup_cache.add t.seen.(v) frame.id;
         if v = frame.dst then deliver t v frame;
         (* Constrained flooding: forward on all usable links except the
            one the frame came in on. *)
@@ -426,12 +389,6 @@ and enqueue t u v frame =
   let ls = link_state t u v in
   if Fair_queue.push ls.queue ~source:frame.src ~priority:frame.priority frame
   then begin
-    (* A hop between nodes owned by different shards crosses the
-       inter-site (WAN) boundary — ledger each admitted copy. *)
-    (match Sim.Shard.locality t.part ~src:u ~dst:v with
-    | Sim.Shard.Local _ -> ()
-    | Sim.Shard.Cross { src_shard; dst_shard } ->
-      Sim.Shard.record t.boundary ~src_shard ~dst_shard ~bytes:frame.size_bytes);
     (* Open the queue-wait span before [maybe_transmit]: an idle link
        pops the frame straight back out and closes it at zero width. *)
     if traced t frame then begin
@@ -450,16 +407,16 @@ and enqueue t u v frame =
   end
 
 let invalidate_routes t =
-  Sim.Shard.iter (fun _ row -> Array.fill row 0 (Array.length row) None) t.route_cache;
+  Array.fill t.route_cache 0 (Array.length t.route_cache) None;
   Hashtbl.reset t.kpath_cache
 
 let cached_shortest t ~src ~dst =
-  let row = Sim.Shard.get t.route_cache src in
-  match row.(dst) with
+  let i = (src * t.nodes) + dst in
+  match t.route_cache.(i) with
   | Some path -> path
   | None ->
     let path = Routing.shortest_path t.topo ~usable:(usable t) ~src ~dst in
-    row.(dst) <- Some path;
+    t.route_cache.(i) <- Some path;
     path
 
 let cached_disjoint t ~src ~dst ~k =
@@ -516,9 +473,7 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
     if src = dst then begin
       let frame = base_frame (Path []) in
       ignore
-        (Sim.Engine.schedule
-           ~shard:(Sim.Shard.engine_shard t.part src)
-           t.engine ~delay_us:0
+        (Sim.Engine.schedule t.engine ~delay_us:0
            (fun () -> if t.node_up.(src) then deliver t src frame)
           : Sim.Engine.timer)
     end
@@ -526,7 +481,7 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
       match mode with
       | Flood ->
         let frame = base_frame ~dedup:true Flooding in
-        Dedup_cache.add (Sim.Shard.get t.seen src) frame.id;
+        Dedup_cache.add t.seen.(src) frame.id;
         List.iter
           (fun w -> if usable t src w then enqueue t src w frame)
           (Topology.neighbors t.topo src)
@@ -588,7 +543,7 @@ let inject_junk_bytes t ~src ~dst ~bytes ~priority =
   submit t ~priority ~size_bytes:(String.length bytes) ~src ~dst ~mode:Shortest
     ~trace:(-1) (Junk bytes)
 
-let has_link t a b = (Sim.Shard.get t.links a).(b) <> None
+let has_link t a b = t.links.((a * t.nodes) + b) <> None
 
 let kill_link t a b =
   if not (has_link t a b) then invalid_arg "Net.kill_link: no such link";
@@ -630,18 +585,15 @@ let set_loss_probability t a b p =
   (link_state t a b).loss_probability <- p;
   (link_state t b a).loss_probability <- p
 
-(* Ascending (u, v) — the same order the old flat [u * nodes + v] array
-   produced, so report orders are unchanged by the shard refactor. *)
+(* Ascending (u, v) order. *)
 let fold_links t f acc =
   let acc = ref acc in
-  for u = 0 to t.nodes - 1 do
-    let row = Sim.Shard.get t.links u in
-    for v = 0 to t.nodes - 1 do
-      match row.(v) with
+  Array.iteri
+    (fun i ls ->
+      match ls with
       | None -> ()
-      | Some ls -> acc := f u v ls !acc
-    done
-  done;
+      | Some ls -> acc := f (i / t.nodes) (i mod t.nodes) ls !acc)
+    t.links;
   !acc
 
 let retransmissions t = fold_links t (fun _ _ ls acc -> acc + ls.retransmissions) 0

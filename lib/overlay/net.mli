@@ -55,44 +55,15 @@ type stats = {
 }
 
 (** [create engine topo ()] builds the runtime. [per_source_cap] bounds
-    each (source, class) link backlog (default 64 frames). [partition]
-    (default {!Sim.Shard.singleton}) assigns each node to an ownership
-    shard — typically its geographic site: per-node state is then
-    stored in per-shard rows, every frame copy enqueued between
-    differently-owned nodes is ledgered as an inter-site (WAN) boundary
-    crossing, and hop timers are tagged with the shard heap
-    ({!Sim.Shard.engine_shard}) owning the state they mutate — transmit
-    and ARQ legs with the transmitting node's, the propagation/arrival
-    leg with the receiving node's. The partition never affects
-    behaviour — event order, delivery, stats are bit-identical for any
-    partition — it makes ownership and WAN coupling explicit.
-    @raise Invalid_argument if the partition's node count differs from
-    the topology's. *)
+    each (source, class) link backlog (default 64 frames). *)
 val create :
   ?per_source_cap:int ->
-  ?partition:Sim.Shard.partition ->
   Sim.Engine.t ->
   Topology.t ->
   unit ->
   'a t
 
 val topology : 'a t -> Topology.t
-
-(** [partition t] is the ownership partition (singleton when none was
-    supplied). *)
-val partition : 'a t -> Sim.Shard.partition
-
-(** {1 Inter-site (WAN) boundary ledger} *)
-
-(** [wan_crossings t] is the per-(src shard, dst shard) ledger of frame
-    copies enqueued across the ownership boundary, ordered by shard
-    pair. *)
-val wan_crossings : 'a t -> Sim.Shard.crossing list
-
-(** [wan_frames t] / [wan_bytes t] are the ledger totals. *)
-val wan_frames : 'a t -> int
-
-val wan_bytes : 'a t -> int
 
 (** [set_handler t node f] installs the delivery callback for [node];
     replaces any previous handler. *)
@@ -214,7 +185,9 @@ type link_report = {
 }
 
 (** [link_reports t] lists every directed link that transmitted at least
-    one frame, descending by [tx_bytes]. *)
+    one frame, descending by [tx_bytes]. The inter-site (WAN) traffic of
+    a run is the [tx_bytes] sum over reports whose endpoints sit in
+    different {!Topology.site_of} sites. *)
 val link_reports : 'a t -> link_report list
 
 (** [link_utilisation t ~elapsed_us report] is the fraction of

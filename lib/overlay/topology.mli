@@ -61,28 +61,40 @@ val connected : t -> bool
     LAN segment. *)
 val full_mesh : nodes:int -> latency_us:int -> bandwidth_bps:int -> t
 
-(** [multi_site ~site_sizes ~lan_latency_us ~wan_latency_us ~lan_bandwidth_bps
-     ~wan_bandwidth_bps] builds one full-mesh LAN per site and a full
-    mesh of WAN links between sites (one WAN link per node pair across
-    sites would be overkill; each pair of sites is joined by links
-    between the first node of each site plus redundant links between the
-    second nodes when both sites have them).
+(** [multi_site ~site_sizes ~extra_nodes ~lan_latency_us ~wan_latency_us
+     ~lan_bandwidth_bps ~wan_bandwidth_bps] builds one full-mesh LAN per
+    site and a full mesh of WAN links between sites (one WAN link per
+    node pair across sites would be overkill; each pair of sites is
+    joined by links between the first node of each site plus redundant
+    links between the second nodes when both sites have them). Links
+    are added LANs first (site order), then WAN pairs in ascending
+    [(sa, sb)] order, primary before redundant.
+
+    [extra_nodes] more nodes follow the sited ones, each alone in its
+    own site (numbered after the real sites) and left unlinked — the
+    caller attaches them (e.g. SCADA clients homed to control centers).
 
     [wan_latency_us] is indexed by unordered site pair via
     [wan_latency_us sa sb]. *)
 val multi_site :
   site_sizes:int list ->
+  extra_nodes:int ->
   lan_latency_us:int ->
   wan_latency_us:(site -> site -> int) ->
   lan_bandwidth_bps:int ->
   wan_bandwidth_bps:int ->
   t
 
+(** [east_coast_wan_latency_us sa sb] is the one-way WAN latency
+    between US East-coast sites 0 = Baltimore, 1 = Washington DC,
+    2 = New York, 3 = Boston (published inter-city RTT/2 values, 2-9 ms);
+    any other pair gets 10 ms. Symmetric. *)
+val east_coast_wan_latency_us : site -> site -> int
+
 (** [wide_area_east_coast ()] is the reproduction of the paper's
     deployment substrate: 4 sites — two control centers and two data
     centers on the US East coast — with 3, 3, 2 and 2 overlay daemons
-    and WAN latencies drawn from published inter-city RTT/2 values
-    (5-16 ms one way). Returns the topology and the list of sites
+    and {!east_coast_wan_latency_us} WAN latencies. Returns the topology and the list of sites
     [(site, kind)] where kind is [`Control_center] or [`Data_center]. *)
 val wide_area_east_coast :
   unit -> t * (site * [ `Control_center | `Data_center ]) list

@@ -37,11 +37,10 @@ type t = {
   mutable on_complete : Bft.Update.t -> latency_us:int -> unit;
   mutable running : bool;
   telemetry : Telemetry.Sink.t;
-  shard : int; (* engine heap owning this endpoint's timers *)
 }
 
 let create ?(telemetry = Telemetry.Sink.null) ?(batch = Bft.Batch.singleton)
-    ?submit_batch ?(shard = 0) ~engine ~client_id ~group ~resubmit_timeout_us
+    ?submit_batch ~engine ~client_id ~group ~resubmit_timeout_us
     ~submit () =
   {
     engine;
@@ -60,7 +59,6 @@ let create ?(telemetry = Telemetry.Sink.null) ?(batch = Bft.Batch.singleton)
     on_complete = (fun _ ~latency_us:_ -> ());
     running = false;
     telemetry;
-    shard;
   }
 
 let client_id t = t.client_id
@@ -132,7 +130,7 @@ let send_op t op =
     if Bft.Batch.full t.acc then flush_batch t
     else if Bft.Batch.length t.acc = 1 then
       ignore
-        (Sim.Engine.schedule ~shard:t.shard t.engine
+        (Sim.Engine.schedule t.engine
            ~delay_us:t.batch.Bft.Batch.max_delay_us (fun () ->
              flush_batch_due t)
           : Sim.Engine.timer)
@@ -219,7 +217,7 @@ let start t =
     t.running <- true;
     let interval = max 10_000 (t.resubmit_timeout_us / 4) in
     ignore
-      (Sim.Engine.periodic ~shard:t.shard t.engine ~interval_us:interval
+      (Sim.Engine.periodic t.engine ~interval_us:interval
          (fun () -> watchdog t)
         : Sim.Engine.timer)
   end

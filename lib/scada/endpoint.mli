@@ -21,16 +21,11 @@ type t
     milestone per member at flush. A singleton policy bypasses the
     accumulator entirely — [submit] fires synchronously inside
     {!send_op}, and no timer is ever scheduled. Retransmissions always
-    use [submit] individually.
-
-    [shard] (default 0) tags the endpoint's timers (batch flush,
-    retransmission watchdog) with the owning engine heap — the field
-    shard in a site-partitioned deployment ({!Sim.Shard}). *)
+    use [submit] individually. *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->
   ?submit_batch:(Bft.Update.t list -> unit) ->
-  ?shard:int ->
   engine:Sim.Engine.t ->
   client_id:Bft.Types.client ->
   group:Cryptosim.Threshold.group ->

@@ -1,11 +1,11 @@
 type t = { engine : Sim.Engine.t; endpoint : Endpoint.t }
 
-let create ?telemetry ?shard ~engine ~client_id ~group ~resubmit_timeout_us
+let create ?telemetry ~engine ~client_id ~group ~resubmit_timeout_us
     ~submit () =
   {
     engine;
     endpoint =
-      Endpoint.create ?telemetry ?shard ~engine ~client_id ~group
+      Endpoint.create ?telemetry ~engine ~client_id ~group
         ~resubmit_timeout_us ~submit ();
   }
 

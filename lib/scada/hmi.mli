@@ -8,11 +8,9 @@
 type t
 
 (** [telemetry] (default {!Telemetry.Sink.null}) traces the lifecycle
-    of every update this HMI issues. [shard] (default 0) tags the
-    endpoint's timers with the owning engine heap ({!Sim.Shard}). *)
+    of every update this HMI issues. *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
-  ?shard:int ->
   engine:Sim.Engine.t ->
   client_id:Bft.Types.client ->
   group:Cryptosim.Threshold.group ->

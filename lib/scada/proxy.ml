@@ -24,17 +24,15 @@ type t = {
      instance in the process — racy across domains in a parallel
      sweep and an ordering leak between otherwise independent runs. *)
   mutable next_txn : int;
-  shard : int; (* engine heap owning this proxy's timers *)
 }
 
-let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ?(shard = 0)
-    ~engine ~rtu ~client_id ~poll_interval_us ~group ~resubmit_timeout_us
+let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ~engine ~rtu ~client_id ~poll_interval_us ~group ~resubmit_timeout_us
     ~submit () =
   {
     engine;
     rtu;
     endpoint =
-      Endpoint.create ?telemetry ?batch ?submit_batch ~shard ~engine ~client_id
+      Endpoint.create ?telemetry ?batch ?submit_batch ~engine ~client_id
         ~group ~resubmit_timeout_us ~submit ();
     group;
     protocol = field_protocol;
@@ -46,7 +44,6 @@ let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ?(shard = 0
     command_shares = Hashtbl.create 17;
     actuated = Hashtbl.create 17;
     next_txn = 0;
-    shard;
   }
 
 let endpoint t = t.endpoint
@@ -246,7 +243,7 @@ let start t =
     Endpoint.start t.endpoint;
     t.poll_timer <-
       Some
-        (Sim.Engine.periodic ~shard:t.shard t.engine
+        (Sim.Engine.periodic t.engine
            ~interval_us:t.poll_interval_us (fun () -> poll t))
   end
 

@@ -26,15 +26,12 @@ type field_protocol = [ `Dnp3 | `Modbus ]
 (** [telemetry] (default {!Telemetry.Sink.null}) traces the lifecycle
     of every update this proxy submits. [batch]/[submit_batch] are
     forwarded to the underlying {!Endpoint}: status polls accumulate
-    under the size/deadline policy and flush as one client batch.
-    [shard] (default 0) tags the proxy's poll and endpoint timers with
-    the owning engine heap ({!Sim.Shard}). *)
+    under the size/deadline policy and flush as one client batch. *)
 val create :
   ?field_protocol:field_protocol ->
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->
   ?submit_batch:(Bft.Update.t list -> unit) ->
-  ?shard:int ->
   engine:Sim.Engine.t ->
   rtu:Rtu.t ->
   client_id:Bft.Types.client ->

@@ -1,77 +1,49 @@
 (* Allocation-lean scheduler core: one timer record per scheduled
    callback is the only per-event allocation. A periodic timer is a
    single record re-pushed into the heap at each firing (no fresh
-   closure or event box per period), and the heaps themselves store
-   events in parallel arrays. Cancelled-but-queued entries are purged
-   lazily once they are numerous enough to matter, so
-   cancel/re-arm-heavy workloads (client resubmit timers, chaos
-   schedules) cannot bloat the heaps.
-
-   Sharding: the engine hosts one heap per shard (heap 0 = control /
-   untagged timers; see Shard.engine_shard for the site mapping), but
-   sequence numbers for the (time, seq) tie-break are allocated from a
-   single engine-global counter. The executed stream is therefore the
-   merge of all heaps under one total order, bit-identical to what a
-   single heap would produce — a timer's shard tag affects *where* its
-   entry is stored (ownership), never *when* it fires. [step] scans the
-   K heap tops for the global minimum; K is the site count plus two, so
-   the scan is a handful of compares per event. *)
+   closure or event box per period), and the heap itself stores events
+   in parallel arrays. Cancelled-but-queued entries are purged lazily
+   once they are numerous enough to matter, so cancel/re-arm-heavy
+   workloads (client resubmit timers, chaos schedules) cannot bloat the
+   heap. *)
 
 type t = {
   mutable clock_us : int;
-  heaps : timer Event_heap.t array;
+  heap : timer Event_heap.t;
   root_rng : Rng.t;
-  mutable next_seq : int; (* global tie-break shared by all heaps *)
   mutable processed : int;
-  processed_by : int array; (* per-shard executed-event counters *)
-  mutable cancelled_queued : int; (* cancelled entries still queued, all heaps *)
+  mutable cancelled_queued : int; (* cancelled entries still queued *)
 }
 
 and timer = {
   engine : t;
   callback : unit -> unit;
   interval_us : int; (* 0 = one-shot *)
-  shard : int; (* owning heap index *)
   mutable next_at : int; (* scheduled firing time (cadence anchor) *)
   mutable cancelled : bool;
-  mutable queued : bool; (* currently has an entry in a heap *)
+  mutable queued : bool; (* currently has an entry in the heap *)
 }
 
-let create ?(seed = 0xC0FFEEL) ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Engine.create: shards < 1";
+let create ?(seed = 0xC0FFEEL) () =
   {
     clock_us = 0;
-    heaps = Array.init shards (fun _ -> Event_heap.create ());
+    heap = Event_heap.create ();
     root_rng = Rng.create seed;
-    next_seq = 0;
     processed = 0;
-    processed_by = Array.make shards 0;
     cancelled_queued = 0;
   }
 
 let now t = t.clock_us
 let rng t = Rng.split t.root_rng
-let shards t = Array.length t.heaps
+let push_timer t tm = Event_heap.push t.heap ~time:tm.next_at tm
 
-(* Out-of-range shard tags fall back to the control heap: callers built
-   against a single-heap engine keep working unchanged, and since the
-   (time, seq) key is global the fallback cannot perturb event order. *)
-let clamp_shard t shard =
-  if shard < 0 || shard >= Array.length t.heaps then 0 else shard
-
-let push_timer t tm =
-  let seq = t.next_seq in
-  Event_heap.push_keyed t.heaps.(tm.shard) ~time:tm.next_at ~seq tm;
-  t.next_seq <- seq + 1
-
-let schedule_at ?(shard = 0) t ~time_us f =
+let schedule_at t ~time_us f =
   let time_us = max time_us (now t) in
   let timer =
     {
       engine = t;
       callback = f;
       interval_us = 0;
-      shard = clamp_shard t shard;
       next_at = time_us;
       cancelled = false;
       queued = true;
@@ -80,17 +52,15 @@ let schedule_at ?(shard = 0) t ~time_us f =
   push_timer t timer;
   timer
 
-let schedule ?shard t ~delay_us f =
-  schedule_at ?shard t ~time_us:(now t + max 0 delay_us) f
+let schedule t ~delay_us f = schedule_at t ~time_us:(now t + max 0 delay_us) f
 
-let periodic ?(shard = 0) t ~interval_us f =
+let periodic t ~interval_us f =
   if interval_us <= 0 then invalid_arg "Engine.periodic: interval_us <= 0";
   let timer =
     {
       engine = t;
       callback = f;
       interval_us;
-      shard = clamp_shard t shard;
       next_at = now t + interval_us;
       cancelled = false;
       queued = true;
@@ -99,10 +69,7 @@ let periodic ?(shard = 0) t ~interval_us f =
   push_timer t timer;
   timer
 
-let pending t =
-  let n = ref 0 in
-  Array.iter (fun h -> n := !n + Event_heap.size h) t.heaps;
-  !n
+let pending t = Event_heap.size t.heap
 
 (* Purge threshold: compaction is O(total queued) and resets the debt,
    so amortised cost stays O(1) per cancel; requiring the cancelled
@@ -116,7 +83,7 @@ let maybe_compact t =
     t.cancelled_queued >= compact_min_cancelled
     && 2 * t.cancelled_queued >= pending t
   then begin
-    Array.iter (fun h -> Event_heap.compact h ~keep:(fun tm -> not tm.cancelled)) t.heaps;
+    Event_heap.compact t.heap ~keep:(fun tm -> not tm.cancelled);
     t.cancelled_queued <- 0
   end
 
@@ -130,37 +97,15 @@ let cancel timer =
     end
   end
 
-(* Index of the heap holding the globally earliest (time, seq) entry,
-   or -1 when every heap is empty. *)
-let select t =
-  let best = ref (-1) in
-  let best_time = ref max_int and best_seq = ref max_int in
-  for i = 0 to Array.length t.heaps - 1 do
-    let h = t.heaps.(i) in
-    if not (Event_heap.is_empty h) then begin
-      let time = Event_heap.min_time h in
-      if
-        time < !best_time
-        || (time = !best_time && Event_heap.min_seq h < !best_seq)
-      then begin
-        best := i;
-        best_time := time;
-        best_seq := Event_heap.min_seq h
-      end
-    end
-  done;
-  !best
-
-let step_at t i =
-  let heap = t.heaps.(i) in
-  let time = Event_heap.min_time heap in
-  let tm = Event_heap.pop_min heap in
+(* Pop and run the earliest entry; the heap must be non-empty. *)
+let step_min t =
+  let time = Event_heap.min_time t.heap in
+  let tm = Event_heap.pop_min t.heap in
   if time > t.clock_us then t.clock_us <- time;
   tm.queued <- false;
   if tm.cancelled then t.cancelled_queued <- t.cancelled_queued - 1
   else begin
     t.processed <- t.processed + 1;
-    t.processed_by.(i) <- t.processed_by.(i) + 1;
     tm.callback ();
     (* Re-arm relative to the firing's *scheduled* time, not the
        clock at callback return: a callback that advances the clock
@@ -176,19 +121,17 @@ let step_at t i =
   end
 
 let step t =
-  let i = select t in
-  if i < 0 then false
+  if Event_heap.is_empty t.heap then false
   else begin
-    step_at t i;
+    step_min t;
     true
   end
 
 let run t ~until_us =
-  let continue = ref true in
-  while !continue do
-    let i = select t in
-    if i >= 0 && Event_heap.min_time t.heaps.(i) <= until_us then step_at t i
-    else continue := false
+  while
+    (not (Event_heap.is_empty t.heap)) && Event_heap.min_time t.heap <= until_us
+  do
+    step_min t
   done;
   t.clock_us <- max t.clock_us until_us
 
@@ -200,16 +143,6 @@ let run_until_quiescent ?(max_events = 100_000_000) t =
   done
 
 let processed t = t.processed
-
-let processed_of t shard =
-  if shard < 0 || shard >= Array.length t.processed_by then
-    invalid_arg "Engine.processed_of: shard out of range";
-  t.processed_by.(shard)
-
-let heap_hi_water t shard =
-  if shard < 0 || shard >= Array.length t.heaps then
-    invalid_arg "Engine.heap_hi_water: shard out of range";
-  Event_heap.hi_water t.heaps.(shard)
 
 let pp_time_us ppf us =
   if us >= 1_000_000 then Format.fprintf ppf "%.3fs" (float_of_int us /. 1e6)

@@ -9,7 +9,6 @@ type 'a t = {
   mutable events : 'a array;
   mutable len : int;
   mutable next_seq : int;
-  mutable hi_water : int;
 }
 
 let create () =
@@ -19,7 +18,6 @@ let create () =
     events = [||];
     len = 0;
     next_seq = 0;
-    hi_water = 0;
   }
 
 let earlier t i j =
@@ -76,22 +74,15 @@ let grow t witness =
   t.seqs <- seqs;
   t.events <- events
 
-let push_keyed t ~time ~seq event =
+let push t ~time event =
   if t.len >= Array.length t.times then grow t event;
   let i = t.len in
   t.times.(i) <- time;
-  t.seqs.(i) <- seq;
+  t.seqs.(i) <- t.next_seq;
   t.events.(i) <- event;
-  (* Keep the internal counter ahead of caller-supplied keys so mixing
-     [push] and [push_keyed] on one heap cannot produce duplicate keys. *)
-  if seq >= t.next_seq then t.next_seq <- seq + 1;
+  t.next_seq <- t.next_seq + 1;
   t.len <- t.len + 1;
-  if t.len > t.hi_water then t.hi_water <- t.len;
   sift_up t i
-
-let push t ~time event =
-  let seq = t.next_seq in
-  push_keyed t ~time ~seq event
 
 let is_empty t = t.len = 0
 let size t = t.len
@@ -99,10 +90,6 @@ let size t = t.len
 let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.times.(0)
-
-let min_seq t =
-  if t.len = 0 then invalid_arg "Event_heap.min_seq: empty heap";
-  t.seqs.(0)
 
 let pop_min t =
   if t.len = 0 then invalid_arg "Event_heap.pop_min: empty heap";
@@ -117,8 +104,6 @@ let pop_min t =
     sift_down t 0
   end;
   ev
-
-let hi_water t = t.hi_water
 
 let pop t =
   if t.len = 0 then None

@@ -1,10 +1,10 @@
 (** Bounded drop-oldest ring buffer.
 
     A fixed-capacity buffer that overwrites its oldest element once
-    full, counting every overwrite in {!dropped}. This is the single
-    retention policy shared by the telemetry {!Sink} and
-    [Sim.Trace]: memory stays bounded on arbitrarily long runs and
-    the caller can always tell how much history was shed. *)
+    full, counting every overwrite in {!dropped}. This is the
+    telemetry {!Sink}'s retention policy: memory stays bounded on
+    arbitrarily long runs and the caller can always tell how much
+    history was shed. *)
 
 type 'a t
 

@@ -30,7 +30,7 @@
     sum-to-end-to-end set): time spent queued behind other frames,
     occupying a link, waiting out ARQ retransmissions, and
     propagating. [Annotation] marks zero-duration point events
-    (e.g. [Sim.Trace] records mirrored into the sink). *)
+    ({!Sink.annotate}). *)
 type phase =
   | End_to_end
   | Batch_wait

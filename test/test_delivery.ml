@@ -1,5 +1,5 @@
 (* Unit and property tests for the exactly-once FIFO delivery filter
-   and the trace / dedup-cache utility modules. *)
+   and the dedup-cache utility module. *)
 
 module D = Bft.Delivery
 
@@ -99,31 +99,6 @@ let prop_delivery_state_digest_stable =
       Cryptosim.Digest.equal (D.digest a) (D.digest b))
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_disabled_by_default () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.emit t ~time_us:1 ~category:"x" "dropped";
-  Alcotest.(check int) "nothing retained" 0 (Sim.Trace.count t)
-
-let test_trace_records_and_filters () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.enable t;
-  Sim.Trace.emit t ~time_us:10 ~category:"net" "a";
-  Sim.Trace.emit t ~time_us:20 ~category:"bft" "b";
-  Sim.Trace.emit t ~time_us:30 ~category:"net" "c";
-  Alcotest.(check int) "count" 3 (Sim.Trace.count t);
-  let net = Sim.Trace.by_category t "net" in
-  Alcotest.(check int) "filtered" 2 (List.length net);
-  Alcotest.(check string) "oldest first" "a"
-    (List.hd (Sim.Trace.records t)).Sim.Trace.message;
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.count t);
-  Sim.Trace.disable t;
-  Sim.Trace.emit t ~time_us:40 ~category:"net" "d";
-  Alcotest.(check int) "disabled again" 0 (Sim.Trace.count t)
-
-(* ------------------------------------------------------------------ *)
 (* Dedup cache *)
 
 let test_dedup_cache_remembers () =
@@ -193,11 +168,6 @@ let () =
           Alcotest.test_case "state roundtrip" `Quick test_delivery_state_roundtrip;
           QCheck_alcotest.to_alcotest prop_delivery_exactly_once_any_order;
           QCheck_alcotest.to_alcotest prop_delivery_state_digest_stable;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "records and filters" `Quick test_trace_records_and_filters;
         ] );
       ( "dedup_cache",
         [

@@ -20,12 +20,25 @@ let exec_digest sys =
   done;
   Cryptosim.Digest.to_hex !d
 
+(* Bytes serialised on links whose endpoints sit in different sites:
+   the WAN traffic of the run, retransmissions included. *)
+let cross_site_tx_bytes net =
+  let topo = Overlay.Net.topology net in
+  List.fold_left
+    (fun acc (r : Overlay.Net.link_report) ->
+      if
+        Overlay.Topology.site_of topo r.Overlay.Net.link_src
+        <> Overlay.Topology.site_of topo r.Overlay.Net.link_dst
+      then acc + r.Overlay.Net.tx_bytes
+      else acc)
+    0 (Overlay.Net.link_reports net)
+
 let fingerprint sys =
   let net = Spire.System.net sys in
   let s = Overlay.Net.stats net in
   Printf.sprintf
     "exec=%s confirmed=%d submitted=%d processed=%d now=%d sub_b=%d del_b=%d \
-     drop_b=%d wan_f=%d wan_b=%d"
+     drop_b=%d wan_tx_b=%d"
     (exec_digest sys)
     (Spire.System.confirmed_updates sys)
     (Spire.System.submitted_updates sys)
@@ -33,8 +46,7 @@ let fingerprint sys =
     (Sim.Engine.now (Spire.System.engine sys))
     s.Overlay.Net.submitted_bytes s.Overlay.Net.delivered_bytes
     s.Overlay.Net.dropped_bytes
-    (Overlay.Net.wan_frames net)
-    (Overlay.Net.wan_bytes net)
+    (cross_site_tx_bytes net)
 
 let run_instance ~seed ~duration_us =
   let cfg = { (Spire.System.default_config ()) with Spire.System.seed } in

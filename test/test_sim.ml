@@ -217,141 +217,6 @@ let test_rng_derive_rejects_negative () =
       ignore (Sim.Rng.derive ~seed:1L ~index:(-1) : int64))
 
 (* ------------------------------------------------------------------ *)
-(* Shard: ownership partition and boundary ledger *)
-
-let shard_fixture () =
-  (* 6 nodes over 3 shards: 0,1 -> shard 0; 2,3 -> shard 1; 4,5 -> 2. *)
-  Sim.Shard.make ~shards:3 ~owner:(fun node -> node / 2) ~nodes:6
-
-let test_shard_partition_shape () =
-  let p = shard_fixture () in
-  Alcotest.(check int) "shards" 3 (Sim.Shard.shards p);
-  Alcotest.(check int) "nodes" 6 (Sim.Shard.nodes p);
-  Alcotest.(check int) "owner of 3" 1 (Sim.Shard.owner_of p 3);
-  Alcotest.(check (array int)) "members of shard 2" [| 4; 5 |]
-    (Sim.Shard.members p 2);
-  Alcotest.(check int) "engine heap of node 5 (control heap is 0)" 3
-    (Sim.Shard.engine_shard p 5);
-  Alcotest.(check int) "engine heaps = shards + control" 4
-    (Sim.Shard.engine_shards p)
-
-let test_shard_singleton () =
-  let p = Sim.Shard.singleton ~nodes:4 in
-  Alcotest.(check int) "one shard" 1 (Sim.Shard.shards p);
-  Alcotest.(check (array int)) "all members" [| 0; 1; 2; 3 |]
-    (Sim.Shard.members p 0)
-
-let test_shard_make_validates () =
-  Alcotest.check_raises "out-of-range owner"
-    (Invalid_argument "Shard.make: owner 0 -> shard 7 out of range") (fun () ->
-      ignore
-        (Sim.Shard.make ~shards:3 ~owner:(fun _ -> 7) ~nodes:2
-          : Sim.Shard.partition))
-
-let test_shard_owned_roundtrip () =
-  let p = shard_fixture () in
-  let o = Sim.Shard.init p (fun node -> node * 10) in
-  for node = 0 to 5 do
-    Alcotest.(check int) "get after init" (node * 10) (Sim.Shard.get o node)
-  done;
-  Sim.Shard.set o 3 99;
-  Alcotest.(check int) "set visible" 99 (Sim.Shard.get o 3);
-  (* iter must walk nodes in ascending global order regardless of the
-     shard-major storage layout — reports depend on it. *)
-  let seen = ref [] in
-  Sim.Shard.iter (fun node v -> seen := (node, v) :: !seen) o;
-  Alcotest.(check (list (pair int int))) "ascending node order"
-    [ (0, 0); (1, 10); (2, 20); (3, 99); (4, 40); (5, 50) ]
-    (List.rev !seen)
-
-let test_shard_boundary_ledger () =
-  let p = shard_fixture () in
-  let b = Sim.Shard.boundary p in
-  let record ~src ~dst ~bytes =
-    Sim.Shard.record b
-      ~src_shard:(Sim.Shard.owner_of p src)
-      ~dst_shard:(Sim.Shard.owner_of p dst)
-      ~bytes
-  in
-  (* Same-shard traffic (nodes 0 -> 1) never lands in the WAN ledger. *)
-  record ~src:0 ~dst:1 ~bytes:100;
-  record ~src:0 ~dst:2 ~bytes:40;
-  record ~src:0 ~dst:2 ~bytes:60;
-  record ~src:5 ~dst:0 ~bytes:7;
-  Alcotest.(check int) "cross frames" 3 (Sim.Shard.total_frames b);
-  Alcotest.(check int) "cross bytes" 107 (Sim.Shard.total_bytes b);
-  Alcotest.(check (list (pair (pair int int) (pair int int))))
-    "crossings ordered by (src, dst), zero rows omitted"
-    [ ((0, 1), (2, 100)); ((2, 0), (1, 7)) ]
-    (List.map
-       (fun (c : Sim.Shard.crossing) ->
-         ((c.src_shard, c.dst_shard), (c.frames, c.bytes)))
-       (Sim.Shard.crossings b))
-
-let test_shard_locality () =
-  let p = shard_fixture () in
-  (match Sim.Shard.locality p ~src:2 ~dst:3 with
-  | Sim.Shard.Local s -> Alcotest.(check int) "local shard" 1 s
-  | Sim.Shard.Cross _ -> Alcotest.fail "same-site link reported Cross");
-  match Sim.Shard.locality p ~src:1 ~dst:4 with
-  | Sim.Shard.Local _ -> Alcotest.fail "WAN link reported Local"
-  | Sim.Shard.Cross { src_shard; dst_shard } ->
-    Alcotest.(check (pair int int)) "cross shards" (0, 2) (src_shard, dst_shard)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-heap engine: shard tags partition storage, never order *)
-
-(* The defining property of the sharded engine: a timer's shard tag
-   decides which heap stores it, but the globally-allocated sequence
-   numbers keep the merged pop order bit-identical to a single heap. *)
-let prop_engine_shard_tags_preserve_order =
-  QCheck.Test.make ~name:"k-shard engine fires in 1-shard order"
-    QCheck.(list (pair (int_bound 500) (int_bound 3)))
-    (fun specs ->
-      let run ~shards =
-        let e = Sim.Engine.create ~shards () in
-        let order = ref [] in
-        List.iteri
-          (fun i (delay_us, shard) ->
-            ignore
-              (Sim.Engine.schedule ~shard e ~delay_us (fun () ->
-                   order := (i, Sim.Engine.now e) :: !order)))
-          specs;
-        Sim.Engine.run_until_quiescent e;
-        List.rev !order
-      in
-      run ~shards:4 = run ~shards:1)
-
-let test_engine_processed_by_shard () =
-  let e = Sim.Engine.create ~shards:3 () in
-  ignore (Sim.Engine.schedule ~shard:1 e ~delay_us:10 ignore);
-  ignore (Sim.Engine.schedule ~shard:1 e ~delay_us:20 ignore);
-  ignore (Sim.Engine.schedule ~shard:2 e ~delay_us:30 ignore);
-  ignore (Sim.Engine.schedule e ~delay_us:40 ignore);
-  Sim.Engine.run_until_quiescent e;
-  Alcotest.(check int) "total" 4 (Sim.Engine.processed e);
-  Alcotest.(check (list int)) "per-heap split (0 = control)" [ 1; 2; 1 ]
-    (List.init (Sim.Engine.shards e) (Sim.Engine.processed_of e));
-  let sum =
-    List.fold_left ( + ) 0
-      (List.init (Sim.Engine.shards e) (Sim.Engine.processed_of e))
-  in
-  Alcotest.(check int) "per-shard counts sum to total" (Sim.Engine.processed e)
-    sum
-
-let test_engine_shard_clamped () =
-  (* Out-of-range tags fall back to the control heap rather than raising:
-     component code may be configured with more sites than the engine
-     was built for. *)
-  let e = Sim.Engine.create ~shards:2 () in
-  let fired = ref 0 in
-  ignore (Sim.Engine.schedule ~shard:99 e ~delay_us:10 (fun () -> incr fired));
-  ignore (Sim.Engine.schedule ~shard:(-1) e ~delay_us:20 (fun () -> incr fired));
-  Sim.Engine.run_until_quiescent e;
-  Alcotest.(check int) "both fired" 2 !fired;
-  Alcotest.(check int) "landed on control heap" 2 (Sim.Engine.processed_of e 0)
-
-(* ------------------------------------------------------------------ *)
 (* Event heap *)
 
 let prop_heap_sorted =
@@ -413,20 +278,34 @@ let prop_heap_compact_preserves_order =
       && List.for_all (fun (_, v) -> keep v) popped
       && ordered popped)
 
-let test_heap_hi_water () =
-  let h = Sim.Event_heap.create () in
-  Alcotest.(check int) "empty" 0 (Sim.Event_heap.hi_water h);
-  for i = 0 to 4 do
-    Sim.Event_heap.push h ~time:i i
-  done;
-  ignore (Sim.Event_heap.pop_min h);
-  ignore (Sim.Event_heap.pop_min h);
-  Sim.Event_heap.push h ~time:9 9;
-  Alcotest.(check int) "peak not current size" 5 (Sim.Event_heap.hi_water h);
-  for i = 10 to 13 do
-    Sim.Event_heap.push h ~time:i i
-  done;
-  Alcotest.(check int) "new peak" 8 (Sim.Event_heap.hi_water h)
+(* The engine keeps one event heap: whatever the mix of delays and
+   cancellations, the surviving timers fire in (time, scheduling order),
+   each at its own scheduled time — the order a stable sort of the
+   schedule by delay gives. *)
+let prop_engine_fires_in_model_order =
+  QCheck.Test.make ~name:"engine fires in stable delay order"
+    QCheck.(list (pair (int_bound 500) bool))
+    (fun specs ->
+      let e = Sim.Engine.create () in
+      let fired = ref [] in
+      let timers =
+        List.mapi
+          (fun i (delay_us, _) ->
+            Sim.Engine.schedule e ~delay_us (fun () ->
+                fired := (i, Sim.Engine.now e) :: !fired))
+          specs
+      in
+      List.iter2
+        (fun timer (_, cancelled) -> if cancelled then Sim.Engine.cancel timer)
+        timers specs;
+      Sim.Engine.run_until_quiescent e;
+      let expected =
+        List.mapi (fun i (delay_us, cancelled) -> (i, delay_us, cancelled)) specs
+        |> List.filter (fun (_, _, cancelled) -> not cancelled)
+        |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
+        |> List.map (fun (i, delay_us, _) -> (i, delay_us))
+      in
+      List.rev !fired = expected)
 
 (* Engine-level purge: cancelling queued timers past the threshold must
    shrink the pending count without firing anything. *)
@@ -498,31 +377,13 @@ let () =
           Alcotest.test_case "derive rejects negative index" `Quick
             test_rng_derive_rejects_negative;
         ] );
-      ( "shard",
-        [
-          Alcotest.test_case "partition shape" `Quick test_shard_partition_shape;
-          Alcotest.test_case "singleton" `Quick test_shard_singleton;
-          Alcotest.test_case "make validates owners" `Quick
-            test_shard_make_validates;
-          Alcotest.test_case "owned get/set/iter" `Quick
-            test_shard_owned_roundtrip;
-          Alcotest.test_case "boundary ledger" `Quick test_shard_boundary_ledger;
-          Alcotest.test_case "locality" `Quick test_shard_locality;
-        ] );
-      ( "sharded_engine",
-        [
-          QCheck_alcotest.to_alcotest prop_engine_shard_tags_preserve_order;
-          Alcotest.test_case "per-shard processed counters" `Quick
-            test_engine_processed_by_shard;
-          Alcotest.test_case "out-of-range tags clamp to control" `Quick
-            test_engine_shard_clamped;
-        ] );
+      ( "timer_ordering",
+        [ QCheck_alcotest.to_alcotest prop_engine_fires_in_model_order ] );
       ( "event_heap",
         [
           QCheck_alcotest.to_alcotest prop_heap_sorted;
           QCheck_alcotest.to_alcotest prop_heap_stable_at_equal_times;
           QCheck_alcotest.to_alcotest prop_heap_compact_preserves_order;
-          Alcotest.test_case "hi-water occupancy" `Quick test_heap_hi_water;
           Alcotest.test_case "engine purges cancelled timers" `Quick
             test_engine_purges_cancelled;
           Alcotest.test_case "compaction keeps live periodic" `Quick

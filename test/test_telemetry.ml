@@ -2,8 +2,7 @@
    sink lifecycle materialisation (clamping, missing milestones,
    pending-cap eviction), qcheck well-formedness of span trees under
    adversarial milestone orders, Chrome trace_event export goldens and
-   round-trips, bounded Sim.Trace retention, and an end-to-end E2
-   smoke asserting the attribution invariant on a real system run. *)
+   round-trips, and an end-to-end E2 smoke asserting the attribution invariant on a real system run. *)
 
 module Ring = Telemetry.Ring
 module Span = Telemetry.Span
@@ -396,36 +395,6 @@ let prop_export_roundtrip =
       Export.spans_of_string (Export.to_string spans) = sorted_spans spans)
 
 (* ------------------------------------------------------------------ *)
-(* Sim.Trace retention bound *)
-
-let test_trace_bounded_retention () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  Sim.Trace.enable t;
-  for i = 1 to 10 do
-    Sim.Trace.emit t ~time_us:i ~category:"c" (string_of_int i)
-  done;
-  Alcotest.(check int) "retains capacity" 4 (Sim.Trace.count t);
-  Alcotest.(check int) "counts shed records" 6 (Sim.Trace.dropped t);
-  Alcotest.(check (list string)) "keeps the newest"
-    [ "7"; "8"; "9"; "10" ]
-    (List.map (fun (r : Sim.Trace.record) -> r.Sim.Trace.message)
-       (Sim.Trace.records t))
-
-let test_trace_mirrors_to_sink () =
-  let t = Sim.Trace.create () in
-  let sink = Sink.create ~enabled:true () in
-  Sim.Trace.set_sink t sink;
-  Sim.Trace.emit t ~time_us:5 ~category:"net" "dropped while disabled";
-  Sim.Trace.enable t;
-  Sim.Trace.emit t ~time_us:7 ~category:"net" "frame lost";
-  Alcotest.(check int) "one annotation" 1 (Sink.closed sink);
-  let sp = List.hd (Sink.spans sink) in
-  Alcotest.(check string) "label carries category" "net: frame lost"
-    sp.Span.label;
-  Alcotest.(check int) "zero duration" 0 (Span.duration sp);
-  Alcotest.(check int) "at emit time" 7 sp.Span.t_start
-
-(* ------------------------------------------------------------------ *)
 (* End-to-end smoke: a real E2 run with telemetry on *)
 
 let smoke =
@@ -547,13 +516,6 @@ let () =
           Alcotest.test_case "golden round-trip" `Quick
             test_export_roundtrip_golden;
           QCheck_alcotest.to_alcotest prop_export_roundtrip;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "bounded drop-oldest retention" `Quick
-            test_trace_bounded_retention;
-          Alcotest.test_case "mirrors into telemetry sink" `Quick
-            test_trace_mirrors_to_sink;
         ] );
       ( "smoke",
         [
