@@ -11,6 +11,26 @@ dune build
 dune runtest
 dune exec dev/debug.exe -- chaos 5
 
+# Positional-argument contract of the dev executables: a garbage value
+# or a stray argument exits 2 printing the valid forms.
+expect_exit_2() {
+  set +e
+  "$@" 2> /dev/null
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "check.sh: '$*' exited $rc, expected 2"
+    exit 1
+  fi
+}
+for args in "chaos abc" "chaos2 xyz" "loss 1 nope" "loss2 1 nope" \
+  "stress q" "adapt delay x" "one e8"; do
+  # shellcheck disable=SC2086 # split the argument list on purpose
+  expect_exit_2 dune exec dev/debug.exe -- $args
+done
+expect_exit_2 dune exec dev/reconfig_soak.exe -- x
+expect_exit_2 dune exec dev/telemetry_smoke.exe -- 0
+
 # Parallel sweep smoke: E10's soak seeds farmed over 4 domains must
 # print byte-identical tables to the sequential run (PAR only changes
 # wall time, never results).

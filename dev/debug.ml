@@ -14,12 +14,8 @@ module Case_chaos = struct
   
   let run (args : string array) =
       ignore (args : string array);
-    let count =
-      if Array.length args > 1 then int_of_string args.(1) else 10
-    in
-    let first =
-      if Array.length args > 2 then int_of_string args.(2) else 1
-    in
+    let count = Env_knob.int_arg ~lo:1 args 1 ~name:"count" ~default:10 in
+    let first = Env_knob.int_arg args 2 ~name:"first_seed" ~default:1 in
     let t0 = Unix.gettimeofday () in
     let dirty = ref 0 in
     for i = first to first + count - 1 do
@@ -47,9 +43,7 @@ module Case_chaos2 = struct
   
   let run (args : string array) =
       ignore (args : string array);
-    let seed_int =
-      if Array.length args > 1 then int_of_string args.(1) else 9000027
-    in
+    let seed_int = Env_knob.int_arg args 1 ~name:"seed" ~default:9000027 in
     let seed = Int64.of_int seed_int in
     let full = Chaos.Harness.soak ~seed () in
     Format.printf "full run:@.%a@." Chaos.Harness.pp_report full;
@@ -222,8 +216,8 @@ module Case_loss2 = struct
   
   let run (args : string array) =
       ignore (args : string array);
-    let seed = try Int64.of_string args.(1) with _ -> 99L in
-    let loss = try float_of_string args.(2) with _ -> 0.10 in
+    let seed = Env_knob.int64_arg args 1 ~name:"seed" ~default:99L in
+    let loss = Env_knob.probability_arg args 2 ~name:"loss" ~default:0.10 in
     let engine = Sim.Engine.create ~seed () in
     let drop_rng = Sim.Engine.rng engine in
     let n = 6 in
@@ -307,7 +301,10 @@ module Case_one = struct
   
   let run (args : string array) =
       ignore (args : string array);
-    let which = try args.(1) with _ -> "e5" in
+    let which =
+      Env_knob.choice_arg args 1 ~name:"experiment" ~default:"e5"
+        [ "e5"; "e6"; "e7"; "e9" ]
+    in
     let t0 = Unix.gettimeofday () in
     (match which with
     | "e5" ->
@@ -582,7 +579,7 @@ module Case_stress = struct
   
   let run (args : string array) =
       ignore (args : string array);
-    let seed = int_of_string args.(1) in
+    let seed = Env_knob.int_arg args 1 ~name:"seed" ~default:1 in
     let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
     let rng = Sim.Engine.rng engine in
     let n = 6 in
@@ -674,16 +671,13 @@ module Case_adapt = struct
 
   let run (args : string array) =
     let attack_name =
-      if Array.length args > 1 then args.(1) else "delay"
+      Env_knob.choice_arg args 1 ~name:"attack" ~default:"delay"
+        [ "leader"; "delay" ]
     in
-    let seconds = if Array.length args > 2 then int_of_string args.(2) else 40 in
+    let seconds = Env_knob.int_arg ~lo:1 args 2 ~name:"seconds" ~default:40 in
     let attack =
-      match attack_name with
-      | "leader" -> Spire.Scenarios.Leader_slowdown 1_000_000
-      | "delay" -> Spire.Scenarios.Wan_delay 20.
-      | other ->
-        Printf.eprintf "unknown attack %S (leader|delay)\n" other;
-        exit 2
+      if attack_name = "leader" then Spire.Scenarios.Leader_slowdown 1_000_000
+      else Spire.Scenarios.Wan_delay 20.
     in
     let duration_us = seconds * 1_000_000 in
     let attack_from_us = duration_us / 4 in
@@ -821,32 +815,41 @@ module Case_fleet = struct
       (Spire.System.wire_traffic sys)
 end
 
+(* Each case with the most positional arguments it reads; extra ones
+   are refused like garbage values (exit 2), rather than ignored. *)
 let cases =
   [
-    ("adapt", Case_adapt.run);
-    ("batch", Case_batch.run);
-    ("chaos", Case_chaos.run);
-    ("chaos2", Case_chaos2.run);
-    ("e7", Case_e7.run);
-    ("fleet", Case_fleet.run);
-    ("iso", Case_iso.run);
-    ("loss", Case_loss.run);
-    ("loss2", Case_loss2.run);
-    ("one", Case_one.run);
-    ("pbft", Case_pbft.run);
-    ("rec", Case_rec.run);
-    ("reconfig", Case_reconfig.run);
-    ("scenarios", Case_scenarios.run);
-    ("site", Case_site.run);
-    ("stress", Case_stress.run);
-    ("system", Case_system.run);
+    ("adapt", 2, Case_adapt.run);
+    ("batch", 0, Case_batch.run);
+    ("chaos", 2, Case_chaos.run);
+    ("chaos2", 1, Case_chaos2.run);
+    ("e7", 0, Case_e7.run);
+    ("fleet", 0, Case_fleet.run);
+    ("iso", 0, Case_iso.run);
+    ("loss", 0, Case_loss.run);
+    ("loss2", 2, Case_loss2.run);
+    ("one", 1, Case_one.run);
+    ("pbft", 0, Case_pbft.run);
+    ("rec", 0, Case_rec.run);
+    ("reconfig", 0, Case_reconfig.run);
+    ("scenarios", 0, Case_scenarios.run);
+    ("site", 0, Case_site.run);
+    ("stress", 1, Case_stress.run);
+    ("system", 0, Case_system.run);
   ]
 
 let () =
+  let names = List.map (fun (name, _, _) -> name) cases in
   match Array.to_list Sys.argv with
-  | _ :: name :: rest when List.mem_assoc name cases ->
-    (List.assoc name cases) (Array.of_list (name :: rest))
+  | _ :: name :: rest when List.mem name names ->
+    let _, arity, run = List.find (fun (n, _, _) -> n = name) cases in
+    if List.length rest > arity then begin
+      Printf.eprintf "debug.exe %s takes at most %d argument(s), got %d: %s\n" name
+        arity (List.length rest) (String.concat " " rest);
+      exit 2
+    end;
+    run (Array.of_list (name :: rest))
   | _ ->
     Printf.eprintf "usage: debug.exe <case> [args]\navailable cases: %s\n"
-      (String.concat " " (List.map fst cases));
+      (String.concat " " names);
     exit 2

@@ -2,12 +2,8 @@
    during membership cutover windows. Exits nonzero on any violation.
    Usage: reconfig_soak [runs] [first_seed] *)
 let () =
-  let runs =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 3
-  in
-  let first_seed =
-    if Array.length Sys.argv > 2 then Int64.of_string Sys.argv.(2) else 7100L
-  in
+  let runs = Env_knob.int_arg ~lo:1 Sys.argv 1 ~name:"runs" ~default:3 in
+  let first_seed = Env_knob.int64_arg Sys.argv 2 ~name:"first_seed" ~default:7100L in
   let failures = ref 0 in
   for i = 0 to runs - 1 do
     let seed = Int64.add first_seed (Int64.of_int i) in

@@ -7,8 +7,7 @@
 
 let () =
   let duration_us =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) * 1_000_000
-    else 10_000_000
+    Env_knob.int_arg ~lo:1 Sys.argv 1 ~name:"seconds" ~default:10 * 1_000_000
   in
   let cfg =
     { (Spire.System.default_config ()) with Spire.System.telemetry = true }

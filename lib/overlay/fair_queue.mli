@@ -15,17 +15,20 @@ type priority = Control | Bulk
 
 type 'a t
 
-(** [create ~per_source_cap] is an empty queue; each (source, class)
-    backlog holds at most [per_source_cap] items. *)
-val create : per_source_cap:int -> 'a t
+(** [create ~per_source_cap ~vacant] is an empty queue; each (source,
+    class) backlog holds at most [per_source_cap] items. Backlogs are
+    ring buffers, and [vacant] fills their free slots, so a dequeued
+    item is not kept alive by the queue. It is never returned. *)
+val create : per_source_cap:int -> vacant:'a -> 'a t
 
 (** [push t ~source ~priority item] enqueues; returns [false] (and drops)
     if the source's backlog for that class is full. *)
 val push : 'a t -> source:int -> priority:priority -> 'a -> bool
 
-(** [pop t] dequeues the next item by (priority, round-robin source)
-    order, or [None] if empty. *)
-val pop : 'a t -> (int * priority * 'a) option
+(** [take t] dequeues the next item by (priority, round-robin source)
+    order. It allocates nothing; check {!is_empty} first.
+    @raise Invalid_argument if [t] is empty. *)
+val take : 'a t -> 'a
 
 (** [length t] is the number of queued items across classes. *)
 val length : 'a t -> int

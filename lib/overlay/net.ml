@@ -6,7 +6,6 @@ type 'a delivery = {
   payload : 'a;
   sent_us : int;
   delivered_us : int;
-  hops : int;
 }
 
 type stats = {
@@ -29,9 +28,6 @@ type stats = {
    to a handler — the daemon's decode-and-authenticate step drops it. *)
 type 'a content = Payload of 'a | Junk of string
 
-(* Routing instructions carried by a frame. *)
-type route = Path of Topology.node list (* remaining hops, next first *) | Flooding
-
 type 'a frame = {
   id : int;
   src : Topology.node;
@@ -40,8 +36,11 @@ type 'a frame = {
   size_bytes : int;
   content : 'a content;
   sent_us : int;
-  mutable hops : int;
-  route : route;
+  flood : bool; (* constrained flooding; otherwise the frame follows [path] *)
+  mutable path : Topology.node list;
+      (* remaining hops, next first. A path frame has exactly one live
+         copy, so each hop advances it in place instead of copying the
+         frame. *)
   dedup : bool;
       (* only flooded / redundantly-routed frames can arrive more than
          once; single-path frames skip dedup bookkeeping entirely *)
@@ -51,12 +50,26 @@ type 'a frame = {
          compare *)
 }
 
-(* Directed link runtime state. *)
+(* Directed link runtime state. A link serialises one frame at a time,
+   so the frame on the wire, its ARQ attempt and its open span live
+   here rather than in a closure per transmission; the two completion
+   callbacks are built once per link. *)
 type 'a link_state = {
+  from_node : Topology.node;
+  to_node : Topology.node;
+  label : string; (* "u->v", the label of every hop span on this link *)
   latency_us : int;
   bandwidth_bps : int;
   queue : 'a frame Fair_queue.t;
   mutable busy : bool;
+  mutable frame : 'a frame;
+      (* the frame on the wire while [busy]; the net's [no_frame]
+         sentinel otherwise, so an idle link keeps no frame alive *)
+  mutable attempt : int; (* ARQ transmissions of [frame] before this one *)
+  mutable span : int;
+      (* open Net_transmit / Net_arq span of [frame], -1 when none *)
+  on_transmitted : unit -> unit;
+  on_arq_timeout : unit -> unit;
   mutable latency_factor : float;
   mutable loss_probability : float;
       (* per-transmission drop probability; the hop-by-hop ARQ below
@@ -76,6 +89,9 @@ type 'a t = {
      path touches link state several times per frame, and tuple-keyed
      hashtables there cost a key allocation plus hashing per access. *)
   links : 'a link_state option array;
+  neighbours : Topology.node array array;
+      (* per node, in {!Topology.neighbors} order; links are a snapshot
+         taken at creation, so flooding never re-sorts the list *)
   link_up : bool array; (* undirected, normalised [a * nodes + b] *)
   node_up : bool array;
   (* Membership guard: a retired node's id is no longer a valid frame
@@ -104,6 +120,7 @@ type 'a t = {
          [frame.id * nodes² + link index] — a frame record is shared
          across links when flooding, so the span id cannot live on the
          frame itself *)
+  no_frame : 'a frame; (* the empty-slot sentinel of [link_state.frame] *)
 }
 
 and counters = {
@@ -124,83 +141,23 @@ and counters = {
 
 let norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
 
-let create ?(per_source_cap = 64) engine topo () =
-  let n = Topology.node_count topo in
-  let t =
-    {
-      engine;
-      rng = Sim.Engine.rng engine;
-      topo;
-      nodes = n;
-      links = Array.make (n * n) None;
-      link_up = Array.make (n * n) false;
-      node_up = Array.make n true;
-      retired = Array.make n false;
-      handlers = Array.make n None;
-      seen = Array.init n (fun _ -> Dedup_cache.create ());
-      delivered_ids = Array.init n (fun _ -> Dedup_cache.create ());
-      ctrs =
-        {
-          c_frame_seq = 0;
-          c_submitted = 0;
-          c_delivered = 0;
-          c_duplicates_suppressed = 0;
-          c_dropped_queue_full = 0;
-          c_dropped_link_down = 0;
-          c_dropped_no_route = 0;
-          c_dropped_arq_exhausted = 0;
-          c_dropped_retired_src = 0;
-          c_junk_frames = 0;
-          c_submitted_bytes = 0;
-          c_delivered_bytes = 0;
-          c_dropped_bytes = 0;
-        };
-      per_source_cap;
-      route_cache = Array.make (n * n) None;
-      kpath_cache = Hashtbl.create 997;
-      telemetry = Telemetry.Sink.null;
-      queue_spans = Hashtbl.create 64;
-    }
-  in
-  List.iter
-    (fun link ->
-      let a = link.Topology.endpoint_a and b = link.Topology.endpoint_b in
-      let mk () =
-        {
-          latency_us = link.Topology.latency_us;
-          bandwidth_bps = link.Topology.bandwidth_bps;
-          queue = Fair_queue.create ~per_source_cap;
-          busy = false;
-          latency_factor = 1.0;
-          loss_probability = 0.0;
-          retransmissions = 0;
-          tx_bytes = 0;
-          tx_busy_us = 0;
-        }
-      in
-      t.links.((a * n) + b) <- Some (mk ());
-      t.links.((b * n) + a) <- Some (mk ());
-      t.link_up.(norm_idx t a b) <- true)
-    (Topology.links topo);
-  t
-
 let topology t = t.topo
 let set_telemetry t sink = t.telemetry <- sink
 
 (* Per-hop telemetry. Traced frames ([frame.trace >= 0], sink enabled)
    get root-level spans for each thing that can cost them time on a
    link: waiting in the fair queue, occupying the link, waiting out an
-   ARQ retransmission, and propagating. Span ids are captured in the
-   transmission closures, so no per-link mutable state is needed. *)
+   ARQ retransmission, and propagating. The transmit and ARQ span ids
+   live in the link's transmit state, the queue-wait ones in
+   [queue_spans], the propagation one in its arrival closure. *)
 let traced t frame = frame.trace >= 0 && Telemetry.Sink.enabled t.telemetry
 
-let qspan_key t u v frame_id = (frame_id * t.nodes * t.nodes) + (u * t.nodes) + v
+let qspan_key t ls frame_id =
+  (frame_id * t.nodes * t.nodes) + (ls.from_node * t.nodes) + ls.to_node
 
-let link_label u v = string_of_int u ^ "->" ^ string_of_int v
-
-let open_hop_span t ~phase ~node ~label frame =
-  Telemetry.Sink.open_span t.telemetry ~trace:frame.trace ~phase ~node ~label
-    ~now:(Sim.Engine.now t.engine) ()
+let open_hop_span t ~phase ls frame =
+  Telemetry.Sink.open_span t.telemetry ~trace:frame.trace ~phase ~node:ls.from_node
+    ~label:ls.label ~now:(Sim.Engine.now t.engine) ()
 
 let close_hop_span t sid =
   Telemetry.Sink.close_span t.telemetry ~id:sid ~now:(Sim.Engine.now t.engine)
@@ -214,6 +171,11 @@ let link_state t a b =
   match t.links.((a * t.nodes) + b) with
   | Some ls -> ls
   | None -> invalid_arg "Net: no such link"
+
+let drop_link_down t frame =
+  let c = t.ctrs in
+  c.c_dropped_link_down <- c.c_dropped_link_down + 1;
+  c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
 
 (* Deliver a frame that has arrived at its destination.  A frame whose
    source was retired while the frame was in flight is dropped here:
@@ -250,11 +212,10 @@ let deliver t node frame =
             payload;
             sent_us = frame.sent_us;
             delivered_us = Sim.Engine.now t.engine;
-            hops = frame.hops;
           })
   end
 
-(* Start transmitting the head frame of the (u,v) link if idle.
+(* Start transmitting the head frame of the link if idle.
 
    Hop-by-hop reliability (ARQ): each transmission is lost with the
    link's loss probability; lost frames are retransmitted after a
@@ -263,148 +224,224 @@ let deliver t node frame =
    paths, flooding) sit on top of it. *)
 let max_retransmissions = 8
 
-let rec maybe_transmit t u v =
-  let ls = link_state t u v in
-  if not ls.busy then begin
-    match Fair_queue.pop ls.queue with
-    | None -> ()
-    | Some (_, _, frame) ->
-      if traced t frame then begin
-        let key = qspan_key t u v frame.id in
-        match Hashtbl.find_opt t.queue_spans key with
-        | Some sid ->
-          Hashtbl.remove t.queue_spans key;
-          close_hop_span t sid
-        | None -> ()
-      end;
-      transmit_frame t u v ls frame 0
+let rec maybe_transmit t ls =
+  if (not ls.busy) && not (Fair_queue.is_empty ls.queue) then begin
+    let frame = Fair_queue.take ls.queue in
+    if traced t frame then begin
+      let key = qspan_key t ls frame.id in
+      match Hashtbl.find t.queue_spans key with
+      | sid ->
+        Hashtbl.remove t.queue_spans key;
+        close_hop_span t sid
+      | exception Not_found -> ()
+    end;
+    ls.frame <- frame;
+    ls.attempt <- 0;
+    transmit_frame t ls
   end
 
-and transmit_frame t u v ls frame attempt =
+and transmit_frame t ls =
+  let frame = ls.frame in
   ls.busy <- true;
   let tx_us = max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
   ls.tx_bytes <- ls.tx_bytes + frame.size_bytes;
   ls.tx_busy_us <- ls.tx_busy_us + tx_us;
-  let tx_sid =
-    if traced t frame then
-      open_hop_span t ~phase:Telemetry.Span.Net_transmit ~node:u
-        ~label:(link_label u v) frame
-    else -1
-  in
+  ls.span <-
+    (if traced t frame then
+       open_hop_span t ~phase:Telemetry.Span.Net_transmit ls frame
+     else -1);
   ignore
-    (Sim.Engine.schedule t.engine ~delay_us:tx_us (fun () ->
-         if tx_sid >= 0 then close_hop_span t tx_sid;
-         let prop =
-           int_of_float (float_of_int ls.latency_us *. ls.latency_factor)
-         in
-         let lost =
-           ls.loss_probability > 0.
-           && Sim.Rng.bernoulli t.rng ls.loss_probability
-         in
-         if lost && attempt < max_retransmissions then begin
-           (* The sender detects the loss after ~one round trip and
-              retransmits; the link stays occupied meanwhile. *)
-           ls.retransmissions <- ls.retransmissions + 1;
-           let arq_sid =
-             if traced t frame then
-               open_hop_span t ~phase:Telemetry.Span.Net_arq ~node:u
-                 ~label:(link_label u v) frame
-             else -1
-           in
-           ignore
-             (Sim.Engine.schedule t.engine ~delay_us:(2 * prop) (fun () ->
-                  if arq_sid >= 0 then close_hop_span t arq_sid;
-                  transmit_frame t u v ls frame (attempt + 1))
-               : Sim.Engine.timer)
-         end
-         else begin
-           ls.busy <- false;
-           if lost then begin
-             (* All ARQ attempts failed: the frame is gone for good.
-                Surface the drop in stats and keep the queue draining —
-                a hot-loss link must not wedge its fair queue. *)
-             let c = t.ctrs in
-             c.c_dropped_arq_exhausted <- c.c_dropped_arq_exhausted + 1;
-             c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
-           end
-           else begin
-             let prop_sid =
-               if traced t frame then
-                 open_hop_span t ~phase:Telemetry.Span.Net_propagate ~node:u
-                   ~label:(link_label u v) frame
-               else -1
-             in
-             ignore
-               (Sim.Engine.schedule t.engine ~delay_us:prop (fun () ->
-                    if prop_sid >= 0 then close_hop_span t prop_sid;
-                    arrive t u v frame)
-                 : Sim.Engine.timer)
-           end;
-           maybe_transmit t u v
-         end)
+    (Sim.Engine.schedule t.engine ~delay_us:tx_us ls.on_transmitted
       : Sim.Engine.timer)
 
-(* Frame arrives at node v over link (u,v). *)
-and arrive t u v frame =
-  if not (usable t u v) then begin
-    let c = t.ctrs in
-    c.c_dropped_link_down <- c.c_dropped_link_down + 1;
-    c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
+(* [ls.on_transmitted]: the frame on the wire has been serialised. *)
+and transmitted t ls =
+  let frame = ls.frame in
+  if ls.span >= 0 then close_hop_span t ls.span;
+  let prop = int_of_float (float_of_int ls.latency_us *. ls.latency_factor) in
+  let lost =
+    ls.loss_probability > 0. && Sim.Rng.bernoulli t.rng ls.loss_probability
+  in
+  if lost && ls.attempt < max_retransmissions then begin
+    (* The sender detects the loss after ~one round trip and
+       retransmits; the link stays occupied meanwhile. *)
+    ls.retransmissions <- ls.retransmissions + 1;
+    ls.span <-
+      (if traced t frame then
+         open_hop_span t ~phase:Telemetry.Span.Net_arq ls frame
+       else -1);
+    ignore
+      (Sim.Engine.schedule t.engine ~delay_us:(2 * prop) ls.on_arq_timeout
+        : Sim.Engine.timer)
   end
   else begin
-    frame.hops <- frame.hops + 1;
-    match frame.route with
-    | Flooding ->
-      if not (Dedup_cache.mem t.seen.(v) frame.id) then begin
-        Dedup_cache.add t.seen.(v) frame.id;
-        if v = frame.dst then deliver t v frame;
-        (* Constrained flooding: forward on all usable links except the
-           one the frame came in on. *)
-        List.iter
-          (fun w -> if w <> u && usable t v w then enqueue t v w frame)
-          (Topology.neighbors t.topo v)
-      end
-    | Path remaining -> (
-      if v = frame.dst then deliver t v frame
-      else
-        match remaining with
-        | next :: rest when next = v -> (
-          match rest with
-          | [] -> if v = frame.dst then deliver t v frame
-          | hop :: _ ->
-            if usable t v hop then
-              enqueue t v hop { frame with route = Path rest }
-            else begin
-              let c = t.ctrs in
-              c.c_dropped_link_down <- c.c_dropped_link_down + 1;
-              c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
-            end)
-        | _ ->
-          let c = t.ctrs in
-          c.c_dropped_link_down <- c.c_dropped_link_down + 1;
-          c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes)
+    ls.busy <- false;
+    ls.frame <- t.no_frame;
+    ls.span <- -1;
+    if lost then begin
+      (* All ARQ attempts failed: the frame is gone for good.
+         Surface the drop in stats and keep the queue draining —
+         a hot-loss link must not wedge its fair queue. *)
+      let c = t.ctrs in
+      c.c_dropped_arq_exhausted <- c.c_dropped_arq_exhausted + 1;
+      c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
+    end
+    else begin
+      (* The one closure a delivered hop allocates: a link's arrivals
+         are not FIFO (its latency factor can drop while frames are in
+         flight), so each copy carries its own. *)
+      let prop_sid =
+        if traced t frame then
+          open_hop_span t ~phase:Telemetry.Span.Net_propagate ls frame
+        else -1
+      in
+      ignore
+        (Sim.Engine.schedule t.engine ~delay_us:prop (fun () ->
+             if prop_sid >= 0 then close_hop_span t prop_sid;
+             arrive t ls frame)
+          : Sim.Engine.timer)
+    end;
+    maybe_transmit t ls
   end
+
+(* [ls.on_arq_timeout]: retransmit the frame on the wire. *)
+and arq_timeout t ls =
+  if ls.span >= 0 then close_hop_span t ls.span;
+  ls.attempt <- ls.attempt + 1;
+  transmit_frame t ls
+
+(* Frame arrives at [ls.to_node] over [ls]. *)
+and arrive t ls frame =
+  let u = ls.from_node and v = ls.to_node in
+  if not (usable t u v) then drop_link_down t frame
+  else if frame.flood then begin
+    if not (Dedup_cache.mem t.seen.(v) frame.id) then begin
+      Dedup_cache.add t.seen.(v) frame.id;
+      if v = frame.dst then deliver t v frame;
+      (* Constrained flooding: forward on all usable links except the
+         one the frame came in on. *)
+      let ns = t.neighbours.(v) in
+      for i = 0 to Array.length ns - 1 do
+        let w = ns.(i) in
+        if w <> u && usable t v w then enqueue t v w frame
+      done
+    end
+  end
+  else if v = frame.dst then deliver t v frame
+  else
+    match frame.path with
+    | next :: (hop :: _ as rest) when next = v ->
+      if usable t v hop then begin
+        frame.path <- rest;
+        enqueue t v hop frame
+      end
+      else drop_link_down t frame
+    | _ -> drop_link_down t frame
 
 and enqueue t u v frame =
   let ls = link_state t u v in
   if Fair_queue.push ls.queue ~source:frame.src ~priority:frame.priority frame
   then begin
     (* Open the queue-wait span before [maybe_transmit]: an idle link
-       pops the frame straight back out and closes it at zero width. *)
+       takes the frame straight back out and closes it at zero width. *)
     if traced t frame then begin
-      let sid =
-        open_hop_span t ~phase:Telemetry.Span.Net_queue ~node:u
-          ~label:(link_label u v) frame
-      in
-      if sid >= 0 then Hashtbl.replace t.queue_spans (qspan_key t u v frame.id) sid
+      let sid = open_hop_span t ~phase:Telemetry.Span.Net_queue ls frame in
+      if sid >= 0 then Hashtbl.replace t.queue_spans (qspan_key t ls frame.id) sid
     end;
-    maybe_transmit t u v
+    maybe_transmit t ls
   end
   else begin
     let c = t.ctrs in
     c.c_dropped_queue_full <- c.c_dropped_queue_full + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
+
+let create ?(per_source_cap = 64) engine topo () =
+  let n = Topology.node_count topo in
+  let t =
+    {
+      engine;
+      rng = Sim.Engine.rng engine;
+      topo;
+      nodes = n;
+      links = Array.make (n * n) None;
+      neighbours =
+        Array.init n (fun v -> Array.of_list (Topology.neighbors topo v));
+      link_up = Array.make (n * n) false;
+      node_up = Array.make n true;
+      retired = Array.make n false;
+      handlers = Array.make n None;
+      seen = Array.init n (fun _ -> Dedup_cache.create ());
+      delivered_ids = Array.init n (fun _ -> Dedup_cache.create ());
+      ctrs =
+        {
+          c_frame_seq = 0;
+          c_submitted = 0;
+          c_delivered = 0;
+          c_duplicates_suppressed = 0;
+          c_dropped_queue_full = 0;
+          c_dropped_link_down = 0;
+          c_dropped_no_route = 0;
+          c_dropped_arq_exhausted = 0;
+          c_dropped_retired_src = 0;
+          c_junk_frames = 0;
+          c_submitted_bytes = 0;
+          c_delivered_bytes = 0;
+          c_dropped_bytes = 0;
+        };
+      per_source_cap;
+      route_cache = Array.make (n * n) None;
+      kpath_cache = Hashtbl.create 997;
+      telemetry = Telemetry.Sink.null;
+      queue_spans = Hashtbl.create 64;
+      no_frame =
+        {
+          id = -1;
+          src = -1;
+          dst = -1;
+          priority = Fair_queue.Bulk;
+          size_bytes = 0;
+          content = Junk "";
+          sent_us = 0;
+          flood = false;
+          path = [];
+          dedup = false;
+          trace = -1;
+        };
+    }
+  in
+  List.iter
+    (fun link ->
+      let a = link.Topology.endpoint_a and b = link.Topology.endpoint_b in
+      let mk u v =
+        let rec ls =
+          {
+            from_node = u;
+            to_node = v;
+            label = string_of_int u ^ "->" ^ string_of_int v;
+            latency_us = link.Topology.latency_us;
+            bandwidth_bps = link.Topology.bandwidth_bps;
+            queue = Fair_queue.create ~per_source_cap ~vacant:t.no_frame;
+            busy = false;
+            frame = t.no_frame;
+            attempt = 0;
+            span = -1;
+            on_transmitted = (fun () -> transmitted t ls);
+            on_arq_timeout = (fun () -> arq_timeout t ls);
+            latency_factor = 1.0;
+            loss_probability = 0.0;
+            retransmissions = 0;
+            tx_bytes = 0;
+            tx_busy_us = 0;
+          }
+        in
+        t.links.((u * n) + v) <- Some ls
+      in
+      mk a b;
+      mk b a;
+      t.link_up.(norm_idx t a b) <- true)
+    (Topology.links topo);
+  t
 
 let invalidate_routes t =
   Array.fill t.route_cache 0 (Array.length t.route_cache) None;
@@ -455,7 +492,7 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
     c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes
   end
   else begin
-    let base_frame ?(dedup = false) route =
+    let base_frame ~flood ~dedup path =
       {
         id = fresh_id t;
         src;
@@ -464,14 +501,14 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
         size_bytes;
         content;
         sent_us = Sim.Engine.now t.engine;
-        hops = 0;
-        route;
+        flood;
+        path;
         dedup;
         trace;
       }
     in
     if src = dst then begin
-      let frame = base_frame (Path []) in
+      let frame = base_frame ~flood:false ~dedup:false [] in
       ignore
         (Sim.Engine.schedule t.engine ~delay_us:0
            (fun () -> if t.node_up.(src) then deliver t src frame)
@@ -480,18 +517,20 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
     else
       match mode with
       | Flood ->
-        let frame = base_frame ~dedup:true Flooding in
+        let frame = base_frame ~flood:true ~dedup:true [] in
         Dedup_cache.add t.seen.(src) frame.id;
-        List.iter
-          (fun w -> if usable t src w then enqueue t src w frame)
-          (Topology.neighbors t.topo src)
+        let ns = t.neighbours.(src) in
+        for i = 0 to Array.length ns - 1 do
+          let w = ns.(i) in
+          if usable t src w then enqueue t src w frame
+        done
       | Shortest -> (
         match cached_shortest t ~src ~dst with
         | None ->
           c.c_dropped_no_route <- c.c_dropped_no_route + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes
         | Some (_ :: rest) ->
-          let frame = base_frame (Path rest) in
+          let frame = base_frame ~flood:false ~dedup:false rest in
           (match rest with
           | hop :: _ -> enqueue t src hop frame
           | [] -> deliver t src frame)
@@ -506,28 +545,14 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
           c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes
         | paths ->
           (* One frame id shared by all copies so the destination
-             delivers exactly one. *)
-          let id = fresh_id t in
+             delivers exactly one; each copy is its own record, since
+             each advances its own path. *)
+          let template = base_frame ~flood:false ~dedup:true [] in
           List.iter
             (fun path ->
               match path with
               | _ :: (hop :: _ as rest) ->
-                let frame =
-                  {
-                    id;
-                    src;
-                    dst;
-                    priority;
-                    size_bytes;
-                    content;
-                    sent_us = Sim.Engine.now t.engine;
-                    hops = 0;
-                    route = Path rest;
-                    dedup = true;
-                    trace;
-                  }
-                in
-                enqueue t src hop frame
+                enqueue t src hop { template with path = rest }
               | _ -> ())
             paths)
   end

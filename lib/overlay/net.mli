@@ -27,7 +27,6 @@ type 'a delivery = {
   payload : 'a;
   sent_us : int;  (** virtual time the frame entered the overlay *)
   delivered_us : int;
-  hops : int;  (** overlay hops traversed by the delivered copy *)
 }
 
 type 'a t

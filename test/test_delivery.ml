@@ -154,6 +154,64 @@ let prop_dedup_cache_bounded =
       List.iter (Overlay.Dedup_cache.add c) ids;
       Overlay.Dedup_cache.size c <= 64)
 
+(* Reference model: the two-generation cache as a pair of Hashtbls, the
+   implementation the open-addressing sets replaced. An id either
+   generation holds is not re-inserted; a full current generation
+   becomes the previous one and the old previous one is dropped. *)
+module Dedup_model = struct
+  type t = {
+    generation_size : int;
+    mutable current : (int, unit) Hashtbl.t;
+    mutable previous : (int, unit) Hashtbl.t;
+  }
+
+  let create generation_size =
+    { generation_size; current = Hashtbl.create 16; previous = Hashtbl.create 16 }
+
+  let mem t id = Hashtbl.mem t.current id || Hashtbl.mem t.previous id
+
+  let add t id =
+    if not (mem t id) then begin
+      if Hashtbl.length t.current >= t.generation_size then begin
+        t.previous <- t.current;
+        t.current <- Hashtbl.create 16
+      end;
+      Hashtbl.replace t.current id ()
+    end
+
+  let size t = Hashtbl.length t.current + Hashtbl.length t.previous
+end
+
+(* Ids come from [0, 150] so streams repeat ids across and within
+   generations, and up to 64 distinct ids per generation grow a set's
+   table (16 slots at first) through several doublings. After every
+   add, [mem] of every id in range and [size] must match the model. *)
+let prop_dedup_matches_model =
+  QCheck.Test.make ~count:200 ~name:"matches two-generation model"
+    QCheck.(pair (int_range 1 64) (list_of_size Gen.(0 -- 400) (int_bound 150)))
+    (fun (generation_size, ids) ->
+      let d = Overlay.Dedup_cache.create ~generation_size () in
+      let m = Dedup_model.create generation_size in
+      List.for_all
+        (fun id ->
+          Overlay.Dedup_cache.add d id;
+          Dedup_model.add m id;
+          Overlay.Dedup_cache.size d = Dedup_model.size m
+          && List.for_all
+               (fun q -> Overlay.Dedup_cache.mem d q = Dedup_model.mem m q)
+               (List.init 151 Fun.id))
+        ids)
+
+(* Frame ids count up from 0; a negative id would collide with the
+   sets' free-slot marker, so both calls refuse it. *)
+let test_dedup_negative_id_refused () =
+  let d = Overlay.Dedup_cache.create () in
+  Alcotest.check_raises "add" (Invalid_argument "Dedup_cache.add: negative id")
+    (fun () -> Overlay.Dedup_cache.add d (-1));
+  Alcotest.check_raises "mem" (Invalid_argument "Dedup_cache.mem: negative id")
+    (fun () -> ignore (Overlay.Dedup_cache.mem d (-5) : bool));
+  Alcotest.(check int) "nothing stored" 0 (Overlay.Dedup_cache.size d)
+
 let () =
   Alcotest.run "delivery"
     [
@@ -177,5 +235,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_dedup_cache_bounded;
           Alcotest.test_case "no re-insert from previous generation" `Quick
             test_dedup_cache_no_reinsert_from_previous;
+          QCheck_alcotest.to_alcotest prop_dedup_matches_model;
+          Alcotest.test_case "negative id refused" `Quick
+            test_dedup_negative_id_refused;
         ] );
     ]

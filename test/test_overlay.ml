@@ -116,34 +116,31 @@ let test_max_disjoint_east_coast () =
 (* Fair queue *)
 
 let test_fair_queue_priority () =
-  let q = FQ.create ~per_source_cap:10 in
+  let q = FQ.create ~per_source_cap:10 ~vacant:"" in
   ignore (FQ.push q ~source:1 ~priority:FQ.Bulk "bulk1");
   ignore (FQ.push q ~source:1 ~priority:FQ.Control "ctl1");
-  (match FQ.pop q with
-  | Some (_, FQ.Control, v) -> Alcotest.(check string) "control first" "ctl1" v
-  | _ -> Alcotest.fail "expected control class first");
-  match FQ.pop q with
-  | Some (_, FQ.Bulk, v) -> Alcotest.(check string) "then bulk" "bulk1" v
-  | _ -> Alcotest.fail "expected bulk"
+  Alcotest.(check string) "control first" "ctl1" (FQ.take q);
+  Alcotest.(check string) "then bulk" "bulk1" (FQ.take q);
+  Alcotest.(check bool) "empty" true (FQ.is_empty q);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Fair_queue.take: empty queue") (fun () ->
+      ignore (FQ.take q : string))
 
 let test_fair_queue_round_robin () =
-  let q = FQ.create ~per_source_cap:10 in
+  let q = FQ.create ~per_source_cap:10 ~vacant:"" in
   (* Source 1 floods; source 2 sends one item. *)
   for i = 1 to 5 do
     ignore (FQ.push q ~source:1 ~priority:FQ.Control (Printf.sprintf "a%d" i))
   done;
   ignore (FQ.push q ~source:2 ~priority:FQ.Control "b1");
   (* Service order must alternate: a1 then b1 (fair share), not a1..a5. *)
-  let first = FQ.pop q and second = FQ.pop q in
-  (match first with
-  | Some (1, _, "a1") -> ()
-  | _ -> Alcotest.fail "expected a1 first");
-  match second with
-  | Some (2, _, "b1") -> ()
-  | _ -> Alcotest.fail "expected b1 second (fairness)"
+  let first = FQ.take q in
+  let second = FQ.take q in
+  Alcotest.(check string) "a1 first" "a1" first;
+  Alcotest.(check string) "b1 second (fairness)" "b1" second
 
 let test_fair_queue_cap_drops () =
-  let q = FQ.create ~per_source_cap:3 in
+  let q = FQ.create ~per_source_cap:3 ~vacant:0 in
   let accepted = ref 0 in
   for i = 1 to 10 do
     if FQ.push q ~source:7 ~priority:FQ.Bulk i then incr accepted
@@ -157,13 +154,17 @@ let prop_fair_queue_conserves_items =
     QCheck.(list (pair (int_bound 4) (int_bound 100)))
     (fun pushes ->
       QCheck.assume (List.length pushes <= 32);
-      let q = FQ.create ~per_source_cap:1000 in
+      let q = FQ.create ~per_source_cap:1000 ~vacant:0 in
       List.iter
         (fun (source, v) ->
           ignore (FQ.push q ~source ~priority:FQ.Control v))
         pushes;
       let rec drain acc =
-        match FQ.pop q with None -> acc | Some _ -> drain (acc + 1)
+        if FQ.is_empty q then acc
+        else begin
+          ignore (FQ.take q : int);
+          drain (acc + 1)
+        end
       in
       drain 0 = List.length pushes)
 
@@ -172,14 +173,12 @@ let prop_fair_queue_conserves_items =
    O(1) ring rotation — the order must match the list-rotation
    semantics it replaced. *)
 let test_fair_queue_exact_rotation () =
-  let q = FQ.create ~per_source_cap:10 in
+  let q = FQ.create ~per_source_cap:10 ~vacant:"" in
   List.iter
     (fun (s, v) -> ignore (FQ.push q ~source:s ~priority:FQ.Control v))
     [ (1, "a1"); (2, "b1"); (3, "c1"); (1, "a2"); (3, "c2"); (3, "c3") ];
   let rec drain acc =
-    match FQ.pop q with
-    | Some (_, _, v) -> drain (v :: acc)
-    | None -> List.rev acc
+    if FQ.is_empty q then List.rev acc else drain (FQ.take q :: acc)
   in
   Alcotest.(check (list string))
     "round-robin service order"
@@ -189,70 +188,98 @@ let test_fair_queue_exact_rotation () =
 (* Reference model: per-source FIFOs with the rotation kept as a plain
    list rotated with [rest @ [src]]. Arbitrary interleaving of pushes
    and pops must give the ring implementation the same observable
-   behaviour (accepted pushes and popped values alike). *)
+   behaviour (accepted pushes and dequeued values alike). Items carry
+   their source, so a dequeue is checked against the model's source
+   too. *)
+let fair_queue_model_prop ~cap steps =
+  let q = FQ.create ~per_source_cap:cap ~vacant:(-1, -1) in
+  let model_queues : (int, int Queue.t) Hashtbl.t = Hashtbl.create 7 in
+  let model_rotation = ref [] in
+  let model_q src =
+    match Hashtbl.find_opt model_queues src with
+    | Some mq -> mq
+    | None ->
+      let mq = Queue.create () in
+      Hashtbl.add model_queues src mq;
+      mq
+  in
+  let model_push src v =
+    let mq = model_q src in
+    if Queue.length mq >= cap then false
+    else begin
+      if Queue.is_empty mq then model_rotation := !model_rotation @ [ src ];
+      Queue.push v mq;
+      true
+    end
+  in
+  let model_pop () =
+    match !model_rotation with
+    | [] -> None
+    | src :: rest ->
+      let mq = model_q src in
+      let v = Queue.pop mq in
+      model_rotation :=
+        (if Queue.is_empty mq then rest else rest @ [ src ]);
+      Some (src, v)
+  in
+  List.for_all
+    (fun (is_push, (src, v)) ->
+      if is_push then
+        FQ.push q ~source:src ~priority:FQ.Control (src, v) = model_push src v
+      else
+        match model_pop () with
+        | None -> FQ.is_empty q
+        | Some (s', x') ->
+          (not (FQ.is_empty q))
+          &&
+          let s, x = FQ.take q in
+          s = s' && x = x')
+    steps
+
 let prop_fair_queue_matches_list_model =
   QCheck.Test.make ~count:300 ~name:"fair queue: ring matches list-rotation model"
     QCheck.(
       list
         (pair bool (pair (int_bound 5) (int_bound 1000)) (* push / pop steps *)))
-    (fun steps ->
-      let cap = 3 in
-      let q = FQ.create ~per_source_cap:cap in
-      let model_queues : (int, int Queue.t) Hashtbl.t = Hashtbl.create 7 in
-      let model_rotation = ref [] in
-      let model_q src =
-        match Hashtbl.find_opt model_queues src with
-        | Some mq -> mq
-        | None ->
-          let mq = Queue.create () in
-          Hashtbl.add model_queues src mq;
-          mq
-      in
-      let model_push src v =
-        let mq = model_q src in
-        if Queue.length mq >= cap then false
-        else begin
-          if Queue.is_empty mq then model_rotation := !model_rotation @ [ src ];
-          Queue.push v mq;
-          true
-        end
-      in
-      let model_pop () =
-        match !model_rotation with
-        | [] -> None
-        | src :: rest ->
-          let mq = model_q src in
-          let v = Queue.pop mq in
-          model_rotation :=
-            (if Queue.is_empty mq then rest else rest @ [ src ]);
-          Some (src, v)
-      in
-      List.for_all
-        (fun (is_push, (src, v)) ->
-          if is_push then
-            FQ.push q ~source:src ~priority:FQ.Control v = model_push src v
-          else
-            match (FQ.pop q, model_pop ()) with
-            | None, None -> true
-            | Some (s, FQ.Control, x), Some (s', x') -> s = s' && x = x'
-            | _ -> false)
-        steps)
+    (fair_queue_model_prop ~cap:3)
+
+(* The same model with few sources and a cap of 20: each source's
+   backlog ring (4 slots at first) grows and wraps around while items
+   are dequeued between pushes. *)
+let prop_fair_queue_backlog_rings =
+  QCheck.Test.make ~count:300 ~name:"backlog rings grow and wrap like FIFOs"
+    QCheck.(
+      list_of_size Gen.(0 -- 200)
+        (pair (make Gen.(frequency [ (2, return true); (1, return false) ]))
+           (pair (int_bound 2) (int_bound 1000))))
+    (fair_queue_model_prop ~cap:20)
+
+(* A dequeued item is not kept alive by the queue's ring slots. *)
+let test_fair_queue_releases_items () =
+  let q = FQ.create ~per_source_cap:8 ~vacant:[||] in
+  let w = Weak.create 1 in
+  let push () =
+    let item = Array.make 8 0 in
+    Weak.set w 0 (Some item);
+    ignore (FQ.push q ~source:1 ~priority:FQ.Control item)
+  in
+  push ();
+  ignore (FQ.take q : int array);
+  Gc.full_major ();
+  Alcotest.(check bool) "dequeued item collected" true (Weak.get w 0 = None);
+  (* [q] is used after the collection, so it was live during it. *)
+  Alcotest.(check int) "queue empty" 0 (FQ.length q)
 
 (* The rotation ring starts at capacity 16; exceed it to cover growth. *)
 let test_fair_queue_many_sources () =
-  let q = FQ.create ~per_source_cap:4 in
+  let q = FQ.create ~per_source_cap:4 ~vacant:0 in
   for s = 0 to 99 do
     ignore (FQ.push q ~source:s ~priority:FQ.Bulk s)
   done;
   let order = ref [] in
-  let rec drain () =
-    match FQ.pop q with
-    | Some (s, _, _) ->
-      order := s :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (FQ.is_empty q) do
+    order := FQ.take q :: !order
+  done;
   Alcotest.(check (list int)) "one pass, push order" (List.init 100 Fun.id)
     (List.rev !order);
   Alcotest.(check bool) "empty after drain" true (FQ.is_empty q)
@@ -276,7 +303,6 @@ let test_net_unicast_latency () =
   Sim.Engine.run_until_quiescent engine;
   match !received with
   | [ d ] ->
-    Alcotest.(check int) "hops" 2 d.N.hops;
     (* 2 hops x 10us latency + 2 x ~transmission. *)
     Alcotest.(check bool) "latency sane" true
       (d.N.delivered_us - d.N.sent_us >= 20
@@ -472,6 +498,31 @@ let test_net_arq_exhaustion_counted_not_wedged () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check bool) "link usable after exhaustion" true
     (!received > 0 && (N.stats net).N.delivered = !received)
+
+(* An idle link keeps no frame alive: once the frame has left the
+   wire, the link's transmit slot holds a sentinel, and the fair queue's
+   slot is vacant. *)
+let test_net_idle_link_releases_frame () =
+  let t = T.create ~nodes:2 in
+  T.add_link t ~a:0 ~b:1 ~latency_us:100 ~bandwidth_bps:1_000_000;
+  let engine, net = make_net t in
+  N.set_handler net 1 ignore;
+  let w = Weak.create 1 in
+  (* The payload is only reachable through the net while in flight. *)
+  let send () =
+    let payload = Ping (Sys.opaque_identity 5) in
+    Weak.set w 0 (Some payload);
+    N.send net ~src:0 ~dst:1 ~size_bytes:256 ~mode:N.Shortest payload
+  in
+  send ();
+  Sim.Engine.run_until_quiescent engine;
+  (* The engine's heap keeps its last popped event in a vacated slot;
+     one more event overwrites it. *)
+  ignore (Sim.Engine.schedule engine ~delay_us:1 ignore : Sim.Engine.timer);
+  Sim.Engine.run_until_quiescent engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "frame collected" true (Weak.get w 0 = None);
+  Alcotest.(check int) "delivered" 1 (N.stats net).N.delivered
 
 let test_net_retired_src_dropped () =
   (* A retired (removed-from-membership) node keeps babbling: its
@@ -696,6 +747,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_fair_queue_matches_list_model;
           Alcotest.test_case "ring growth past 16 sources" `Quick
             test_fair_queue_many_sources;
+          QCheck_alcotest.to_alcotest prop_fair_queue_backlog_rings;
+          Alcotest.test_case "dequeued items released" `Quick
+            test_fair_queue_releases_items;
         ] );
       ( "net",
         [
@@ -730,6 +784,8 @@ let () =
             test_net_invalidate_routes_recomputes_same;
           Alcotest.test_case "switch preserves in-flight frames" `Quick
             test_net_switch_preserves_in_flight;
+          Alcotest.test_case "idle link keeps no frame alive" `Quick
+            test_net_idle_link_releases_frame;
         ] );
       ( "wan_boundary",
         [

@@ -61,6 +61,131 @@ let test_run_to_run_identical () =
   Alcotest.(check int) "events" a.events b.events;
   Alcotest.check ledger_testable "ledger" a.ledger b.ledger
 
+(* Flood-mode golden trajectory. The E2 pin above only exercises
+   shortest-path routing. This run floods every frame, inflates the
+   latency of the WAN links between replica sites 20x, makes one WAN
+   link 5% lossy (ARQ retransmission) and one control-center LAN link
+   90% lossy (ARQ exhaustion: 0.9^9 ~ 0.39 per frame), so it pins the
+   overlay hop path's flooding, dedup, fair-queue and ARQ bookkeeping
+   on a real system run. *)
+let flood_duration_us = 4 * 1_000_000
+
+let flood_golden_confirmed = 284
+let flood_golden_events = 2163172
+let flood_golden_retransmissions = 34023
+
+let flood_golden_stats =
+  [
+    ("submitted", 25568);
+    ("delivered", 19970);
+    ("duplicates_suppressed", 0);
+    ("dropped_queue_full", 41727);
+    ("dropped_link_down", 0);
+    ("dropped_no_route", 0);
+    ("dropped_arq_exhausted", 2580);
+    ("dropped_retired_src", 0);
+    ("junk_frames", 0);
+    ("submitted_bytes", 3071838);
+    ("delivered_bytes", 2342115);
+    ("dropped_bytes", 5000359);
+  ]
+
+(* (src, dst, tx_bytes) per directed link, in [Net.link_reports] order. *)
+let flood_golden_links =
+  [
+    (0, 1, 3079510); (4, 2, 2906406); (5, 2, 2849377); (2, 0, 2829652);
+    (2, 4, 2829652); (2, 5, 2829652); (2, 16, 2829580); (0, 2, 2829545);
+    (0, 16, 2829545); (2, 8, 2817094); (2, 9, 2817094); (2, 10, 2817094);
+    (2, 11, 2817094); (2, 12, 2817094); (2, 14, 2817094); (2, 15, 2817094);
+    (0, 8, 2816987); (0, 9, 2816987); (0, 10, 2816987); (0, 11, 2816987);
+    (0, 12, 2816987); (0, 14, 2816987); (0, 15, 2816987); (2, 13, 2811226);
+    (0, 13, 2801668); (2, 7, 2801363); (0, 7, 2739808); (0, 5, 2436125);
+    (4, 5, 2423941); (5, 4, 2390629); (0, 4, 2370437); (2, 3, 2340043);
+    (1, 0, 1862902); (0, 6, 1723946); (6, 2, 1555993); (7, 2, 1543435);
+    (13, 2, 1543435); (8, 2, 1540537); (9, 2, 1540537); (10, 2, 1540537);
+    (11, 2, 1540537); (12, 2, 1540537); (14, 2, 1540537); (15, 2, 1540537);
+    (16, 2, 1528623); (2, 6, 1308854); (7, 0, 1305108); (13, 0, 1305108);
+    (8, 0, 1302210); (9, 0, 1302210); (10, 0, 1302210); (11, 0, 1302210);
+    (12, 0, 1302210); (14, 0, 1302210); (15, 0, 1302210); (16, 0, 1300922);
+    (6, 0, 1286754); (5, 0, 956120); (4, 0, 953127); (3, 2, 489716);
+    (3, 1, 166546); (1, 3, 146236);
+  ]
+
+let flood_golden_ledger =
+  [
+    ("prime/po_request", 5640, 603480);
+    ("prime/viewchange", 85, 557540);
+    ("prime/po_aru", 5250, 378000);
+    ("prime/prepare", 5335, 330770);
+    ("prime/commit", 4425, 274350);
+    ("replica_reply", 1401, 249378);
+    ("prime/preprepare", 1170, 248040);
+    ("prime/slot_reply", 996, 207168);
+    ("client_update", 496, 159712);
+    ("prime/slot_request", 585, 29250);
+    ("prime/newview", 10, 23200);
+    ("prime/recon_reply", 30, 3210);
+    ("prime/checkpoint", 50, 2900);
+    ("prime/suspect", 50, 2500);
+    ("prime/recon_request", 45, 2340);
+  ]
+
+let flood_stats (s : Overlay.Net.stats) =
+  [
+    ("submitted", s.submitted);
+    ("delivered", s.delivered);
+    ("duplicates_suppressed", s.duplicates_suppressed);
+    ("dropped_queue_full", s.dropped_queue_full);
+    ("dropped_link_down", s.dropped_link_down);
+    ("dropped_no_route", s.dropped_no_route);
+    ("dropped_arq_exhausted", s.dropped_arq_exhausted);
+    ("dropped_retired_src", s.dropped_retired_src);
+    ("junk_frames", s.junk_frames);
+    ("submitted_bytes", s.submitted_bytes);
+    ("delivered_bytes", s.delivered_bytes);
+    ("dropped_bytes", s.dropped_bytes);
+  ]
+
+let test_flood_golden_trajectory () =
+  let cfg =
+    {
+      (Spire.System.default_config ()) with
+      Spire.System.dissemination = Overlay.Net.Flood;
+    }
+  in
+  let sys = Spire.System.create cfg in
+  let net = Spire.System.net sys in
+  let topo = Overlay.Net.topology net in
+  let replicas = Spire.System.replica_count sys in
+  List.iter
+    (fun (l : Overlay.Topology.link) ->
+      let a = l.endpoint_a and b = l.endpoint_b in
+      if
+        a < replicas && b < replicas
+        && Overlay.Topology.site_of topo a <> Overlay.Topology.site_of topo b
+      then Overlay.Net.set_latency_factor net a b 20.)
+    (Overlay.Topology.links topo);
+  Overlay.Net.set_loss_probability net 1 3 0.05;
+  Overlay.Net.set_loss_probability net 0 1 0.9;
+  Spire.System.start sys;
+  Spire.System.run sys ~duration_us:flood_duration_us;
+  Alcotest.(check int) "confirmed" flood_golden_confirmed
+    (Spire.System.confirmed_updates sys);
+  Alcotest.(check int) "events processed" flood_golden_events
+    (Sim.Engine.processed (Spire.System.engine sys));
+  Alcotest.(check int) "retransmissions" flood_golden_retransmissions
+    (Overlay.Net.retransmissions net);
+  Alcotest.(check (list (pair string int)))
+    "net stats" flood_golden_stats
+    (flood_stats (Overlay.Net.stats net));
+  Alcotest.(check (list (triple int int int)))
+    "per-link tx bytes" flood_golden_links
+    (List.map
+       (fun (r : Overlay.Net.link_report) -> (r.link_src, r.link_dst, r.tx_bytes))
+       (Overlay.Net.link_reports net));
+  Alcotest.check ledger_testable "per-kind wire ledger" flood_golden_ledger
+    (Spire.System.wire_traffic sys)
+
 (* The batched send path at max_batch = 1 must be *the* legacy path:
    explicitly setting the batching fields (with a deliberately odd
    deadline, which singleton mode must never consult) has to reproduce
@@ -168,6 +293,8 @@ let () =
             test_run_to_run_identical;
           Alcotest.test_case "max_batch=1 ledger bit-identical" `Slow
             test_singleton_batching_identical;
+          Alcotest.test_case "flood golden trajectory, link bytes" `Slow
+            test_flood_golden_trajectory;
         ] );
       ( "batching",
         [
